@@ -10,10 +10,12 @@ for the serial and the partial k-means implementation are identical").
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
+from repro.core.kernels import resolve_kernel
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel, as_points
 from repro.core.restarts import best_of_restarts
@@ -83,8 +85,7 @@ class SerialKMeans:
             seeding=self.seeding,
             criterion=self.criterion,
             max_iter=self.max_iter,
-            kernel=self.kernel,
-            exact=self.exact,
+            kernel=partial(resolve_kernel, self.kernel, self.exact),
             early_abandon=self.early_abandon,
         )
         elapsed = time.perf_counter() - start

@@ -32,6 +32,7 @@ import sys
 import numpy as np
 
 from repro.baselines.serial import SerialKMeans
+from repro.core.kernels import available_kernels
 from repro.core.pipeline import PartialMergeKMeans
 from repro.core.quality import mse as evaluate_mse
 from repro.data.generator import generate_cell_points
@@ -583,13 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--seed", type=int, default=None)
     p_query.add_argument(
         "--kernel",
-        choices=["dense", "hamerly", "elkan", "blas", "tiled"],
+        choices=available_kernels(),
         default="dense",
         help="Lloyd assignment kernel for all k-means stages; exact "
         "kernels (dense/hamerly/elkan) are bit-identical, so they only "
         "change speed (counters in the metrics show what they saved); "
-        "'blas' is the float32 GEMM tier and requires --no-exact "
-        "('tiled' is a deprecated alias for it)",
+        "'blas' is the float32 GEMM tier and requires --no-exact",
     )
     p_query.add_argument(
         "--no-exact",
@@ -696,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--restarts", type=int, default=3)
     p_serve.add_argument(
         "--kernel",
-        choices=["dense", "hamerly", "elkan", "blas", "tiled"],
+        choices=available_kernels(),
         default="dense",
         help="Lloyd assignment kernel (exact tiers are bit-identical; "
         "'blas' needs --no-exact and speeds up folds and serving assigns)",
@@ -751,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument(
         "--kernel",
-        choices=["dense", "hamerly", "elkan", "blas", "tiled"],
+        choices=available_kernels(),
         default="dense",
         help="Lloyd assignment kernel (exact tiers are bit-identical; "
         "'blas' needs --no-exact)",

@@ -3,6 +3,9 @@
 Public surface:
 
 * :class:`~repro.core.pipeline.PartialMergeKMeans` — the high-level API.
+* :class:`~repro.core.spec.ClusterSpec` and :mod:`~repro.core.cell` —
+  the one configuration and the one seeded cell task (split, summarise,
+  merge) that every backend and the serving layer run.
 * :func:`~repro.core.kmeans.lloyd` — the shared weighted Lloyd kernel.
 * :func:`~repro.core.partial.partial_kmeans` / \
   :func:`~repro.core.merge.merge_kmeans` — the two stream-operator kernels.
@@ -13,6 +16,7 @@ Public surface:
 """
 
 from repro.core.adaptive_k import EcvqPartialMergeKMeans, EcvqPartialMergeReport
+from repro.core.cell import merge_cell, split_cell, summarise_partition
 from repro.core.checks import (
     ModelValidationError,
     ValidationReport,
@@ -42,8 +46,13 @@ from repro.core.pipeline import (
 )
 from repro.core.quality import mse, sse
 from repro.core.restarts import RestartReport, best_of_restarts
+from repro.core.spec import ClusterSpec
 
 __all__ = [
+    "ClusterSpec",
+    "split_cell",
+    "summarise_partition",
+    "merge_cell",
     "PAPER_MSE_DELTA",
     "ModelValidationError",
     "ValidationReport",

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.cell import partition_rng, resolve_seed, split_cell
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.ecvq import EcvqResult, ecvq
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import MergeResult, merge_kmeans
 from repro.core.model import ClusterModel, as_points
-from repro.core.pipeline import split_into_chunks
+from repro.core.pipeline import PartialMergeKMeans
 from repro.core.quality import mse as evaluate_mse
 
 __all__ = ["EcvqPartialMergeReport", "EcvqPartialMergeKMeans"]
@@ -56,7 +57,10 @@ class EcvqPartialMergeKMeans:
         n_chunks: partitions when :meth:`fit` receives a flat array.
         criterion: convergence criterion for the merge step.
         max_iter: iteration cap for all stages.
-        seed: RNG seed.
+        seed: seed of the cell task's split and partition RNGs
+            (:mod:`repro.core.cell`): the chunks are exactly those
+            :class:`~repro.core.pipeline.PartialMergeKMeans` makes with
+            the same seed, so the two compare on identical partitions.
     """
 
     def __init__(
@@ -79,13 +83,13 @@ class EcvqPartialMergeKMeans:
         self.n_chunks = n_chunks
         self.criterion = criterion
         self.max_iter = max_iter
-        self._rng = np.random.default_rng(seed)
+        self.seed = resolve_seed(seed)
 
     def fit(self, points: np.ndarray) -> EcvqPartialMergeReport:
         """Random-split ``points`` and cluster with adaptive partial k."""
         pts = as_points(points)
-        chunks = split_into_chunks(
-            pts, min(self.n_chunks, pts.shape[0]), self._rng
+        chunks = split_cell(
+            pts, self.n_chunks, self.seed, PartialMergeKMeans.CELL_ID
         )
         return self.fit_chunks(chunks, evaluate_on=pts)
 
@@ -103,10 +107,10 @@ class EcvqPartialMergeKMeans:
                 as_points(chunk),
                 max_k=self.max_k,
                 lam=self.lam,
-                rng=self._rng,
+                rng=partition_rng(self.seed, PartialMergeKMeans.CELL_ID, index),
                 max_iter=self.max_iter,
             )
-            for chunk in chunks
+            for index, chunk in enumerate(chunks)
         ]
         merged = merge_kmeans(
             [p.summary for p in partials],

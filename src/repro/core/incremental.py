@@ -23,26 +23,27 @@ bound the drift by periodically re-merging retained summaries.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Any
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
-from repro.core.kmeans import DEFAULT_MAX_ITER
-from repro.core.merge import merge_kmeans
+from repro.core.cell import merge_summaries
 from repro.core.model import ClusterModel, WeightedCentroidSet, as_points
 from repro.core.partial import partial_kmeans
+from repro.core.spec import ClusterSpec
 
 __all__ = ["fold_summary", "update_model", "IncrementalClusterer"]
+
+#: Restarts per chunk when the caller does not say: an online chunk is
+#: folded into a model that already summarises earlier data.
+_DEFAULT_RESTARTS = 3
 
 
 def fold_summary(
     model: ClusterModel | None,
     summary: WeightedCentroidSet,
     k: int | None = None,
-    criterion: ConvergenceCriterion | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    kernel: str | None = None,
-    exact: bool | None = None,
+    spec: ClusterSpec | None = None,
 ) -> ClusterModel:
     """Merge an already-computed partition summary into a cell model.
 
@@ -60,11 +61,8 @@ def fold_summary(
         summary: the new chunk's weighted centroid summary.
         k: centroids in the folded model; defaults to ``model.k`` and is
             **required** when ``model`` is ``None`` or empty.
-        criterion: convergence criterion for the merge.
-        max_iter: Lloyd cap for the merge.
-        kernel: assignment backend for the merge (exact kernels are
-            bit-identical; performance knob only).
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
+        spec: merge settings (criterion, iteration cap, kernel); the
+            defaults of :class:`ClusterSpec` when ``None``.
 
     Returns:
         A new :class:`ClusterModel` whose weights sum to
@@ -83,10 +81,7 @@ def fold_summary(
         k = model.k
     pool = [model.to_weighted_set()] if base_populated else []
     pool.append(summary)
-    merged = merge_kmeans(
-        pool, k, criterion=criterion, max_iter=max_iter, kernel=kernel,
-        exact=exact,
-    )
+    merged = merge_summaries(spec or ClusterSpec(k=k), pool, k=k)
     base = model if model is not None else ClusterModel.empty(summary.dim)
     return ClusterModel(
         centroids=merged.model.centroids,
@@ -105,13 +100,9 @@ def fold_summary(
 def update_model(
     model: ClusterModel,
     new_points: np.ndarray,
-    restarts: int = 3,
     rng: np.random.Generator | None = None,
-    criterion: ConvergenceCriterion | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    k: int | None = None,
-    kernel: str | None = None,
-    exact: bool | None = None,
+    spec: ClusterSpec | None = None,
+    **fields: Any,
 ) -> ClusterModel:
     """Fold ``new_points`` into an existing cell model.
 
@@ -121,14 +112,10 @@ def update_model(
             cells emit — is bootstrapped from the new points alone,
             provided ``k`` is given.
         new_points: newly arrived measurements for the same cell.
-        restarts: seed restarts for the new chunk's partial k-means.
         rng: randomness for the partial step (fresh default if ``None``).
-        criterion: convergence criterion for both stages.
-        max_iter: Lloyd cap for both stages.
-        k: centroids for the update; defaults to ``model.k`` and is
-            **required** when ``model`` is an empty watermark.
-        kernel: assignment backend for both stages.
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
+        spec: the update's configuration; or give its fields as keywords
+            (``k`` defaults to ``model.k`` and is **required** when
+            ``model`` is an empty watermark; ``restarts`` defaults to 3).
 
     Returns:
         A new :class:`ClusterModel` with ``k`` preserved and weights
@@ -140,36 +127,30 @@ def update_model(
     """
     pts = as_points(new_points)
     generator = rng if rng is not None else np.random.default_rng()
-    if k is None:
-        if model.k == 0:
+    if spec is None:
+        if "k" not in fields and model.k == 0:
             raise ValueError(
                 "model is an empty zero-point-cell watermark: pass k= "
                 "to bootstrap it from the new points"
             )
-        k = model.k
+        fields.setdefault("k", model.k)
+        fields.setdefault("restarts", _DEFAULT_RESTARTS)
+    spec = ClusterSpec.of(spec, **fields)
     fresh = partial_kmeans(
         pts,
-        k,
-        restarts,
+        spec.k,
+        spec.restarts,
         generator,
         source="update",
-        criterion=criterion,
-        max_iter=max_iter,
-        kernel=kernel,
-        exact=exact,
+        seeding=spec.seeding,
+        criterion=spec.criterion,
+        max_iter=spec.max_iter,
+        kernel=spec.new_kernel,
     )
-    folded = fold_summary(
-        model,
-        fresh.summary,
-        k=k,
-        criterion=criterion,
-        max_iter=max_iter,
-        kernel=kernel,
-        exact=exact,
-    )
+    folded = fold_summary(model, fresh.summary, k=spec.k, spec=spec)
     return replace(
         folded,
-        restarts=restarts,
+        restarts=spec.restarts,
         partial_seconds=folded.partial_seconds + fresh.seconds,
         total_seconds=folded.total_seconds + fresh.seconds,
     )
@@ -182,14 +163,13 @@ class IncrementalClusterer:
     of ``k`` centroids each; the full point set is never retained.
 
     Args:
-        k: centroids in the maintained model.
-        restarts: seed restarts per incoming chunk.
+        spec: the clusterer's configuration; or give its fields as
+            keywords (``k`` centroids in the maintained model and in
+            every chunk summary; ``restarts`` per chunk defaults to 3).
         refresh_every: how many chunk summaries to retain before
             re-merging them collectively (1 = fold eagerly, the pure
             incremental discipline; larger values trade memory for the
             collective merge's statistical fairness).
-        criterion: convergence criterion for all stages.
-        max_iter: Lloyd cap for all stages.
         seed: RNG seed.
 
     Example:
@@ -204,22 +184,17 @@ class IncrementalClusterer:
 
     def __init__(
         self,
-        k: int,
-        restarts: int = 3,
+        spec: ClusterSpec | None = None,
         refresh_every: int = 4,
-        criterion: ConvergenceCriterion | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
         seed: int | None = None,
+        **fields: Any,
     ) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         if refresh_every < 1:
             raise ValueError(f"refresh_every must be >= 1, got {refresh_every}")
-        self.k = k
-        self.restarts = restarts
+        if spec is None:
+            fields.setdefault("restarts", _DEFAULT_RESTARTS)
+        self.spec = ClusterSpec.of(spec, **fields)
         self.refresh_every = refresh_every
-        self.criterion = criterion
-        self.max_iter = max_iter
         self._rng = np.random.default_rng(seed)
         self._retained: list[WeightedCentroidSet] = []
         self._chunks_seen = 0
@@ -255,14 +230,17 @@ class IncrementalClusterer:
     def add(self, chunk: np.ndarray) -> None:
         """Fold one chunk of new points into the running state."""
         pts = as_points(chunk)
+        spec = self.spec
         summary = partial_kmeans(
             pts,
-            self.k,
-            self.restarts,
+            spec.k,
+            spec.restarts,
             self._rng,
             source=f"chunk{self._chunks_seen}",
-            criterion=self.criterion,
-            max_iter=self.max_iter,
+            seeding=spec.seeding,
+            criterion=spec.criterion,
+            max_iter=spec.max_iter,
+            kernel=spec.new_kernel,
         ).summary
         self._retained.append(summary)
         self._chunks_seen += 1
@@ -272,13 +250,7 @@ class IncrementalClusterer:
 
     def _compact(self) -> None:
         """Collectively merge retained summaries down to one."""
-        merged = merge_kmeans(
-            self._retained,
-            self.k,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
-        )
-        self._retained = [merged.model]
+        self._retained = [merge_summaries(self.spec, self._retained).model]
 
     def model(self) -> ClusterModel:
         """The current cell model (compacts retained state first).
@@ -297,6 +269,6 @@ class IncrementalClusterer:
             mse=float("nan"),
             method="incremental-clusterer",
             partitions=self._chunks_seen,
-            restarts=self.restarts,
+            restarts=self.spec.restarts,
             extra={"points_seen": self._points_seen},
         )

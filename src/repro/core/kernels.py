@@ -63,14 +63,12 @@ therefore requires an explicit opt-in: ``exact=False`` on
 CLI, or ``REPRO_KMEANS_EXACT=0`` in the environment.  Selecting ``blas``
 without the waiver is a ``ValueError``, never a silent accuracy change.
 
-Kernel selection: pass ``kernel=`` (a name or a :class:`LloydKernel`
-instance) or set ``REPRO_KMEANS_KERNEL``; the explicit argument wins.
-Unknown names raise a ``ValueError`` naming the bad value, the valid
-kernels, and — when the name came from the environment — the variable
-itself.  The retired ``tiled`` kernel name is accepted as a deprecated
-alias for ``blas`` (one ``DeprecationWarning`` per process); it still
-requires the ``exact=False`` waiver, because an alias must not silently
-change exactness semantics.
+Kernel selection: pass ``kernel=`` (a name, a :class:`LloydKernel`
+instance, or a zero-argument factory such as
+:meth:`repro.core.spec.ClusterSpec.new_kernel`) or set
+``REPRO_KMEANS_KERNEL``; the explicit argument wins.  Unknown names
+raise a ``ValueError`` naming the bad value, the valid kernels, and —
+when the name came from the environment — the variable itself.
 
 Centroid aggregation for exact kernels uses one ``np.bincount`` per
 dimension (:func:`aggregate_weighted_sums`) — the same sequential
@@ -84,8 +82,8 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -93,6 +91,7 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "KERNEL_ENV_VAR",
     "EXACT_ENV_VAR",
+    "KernelChoice",
     "KernelCounters",
     "LloydKernel",
     "DenseKernel",
@@ -112,10 +111,6 @@ KERNEL_ENV_VAR = "REPRO_KMEANS_KERNEL"
 #: Environment variable waiving the bit-identity requirement
 #: (``0``/``false``/``no``/``off`` allows ``exact=False`` kernels).
 EXACT_ENV_VAR = "REPRO_KMEANS_EXACT"
-
-#: Deprecated alias: the retired tiled-matmul kernel resolves to ``blas``.
-_TILED_ALIAS = "tiled"
-_tiled_alias_warned = False
 
 #: Relative guard band on float64 bounds.  Accumulated floating-point
 #: error on a drift-updated bound is a few ulps (~1e-16 relative) per
@@ -411,6 +406,11 @@ class LloydKernel:
 
     def invalidate(self) -> None:
         """Drop cached bounds (an empty-cluster repair teleported a centroid)."""
+
+
+#: What ``kernel=`` accepts everywhere: a name, an instance, a
+#: zero-argument factory returning a fresh instance, or ``None``.
+KernelChoice = str | LloydKernel | Callable[[], LloydKernel] | None
 
 
 class DenseKernel(LloydKernel):
@@ -1468,10 +1468,7 @@ _KERNELS: dict[str, type[LloydKernel]] = {
 
 
 def available_kernels() -> tuple[str, ...]:
-    """Names accepted by ``resolve_kernel`` (and the CLI/env knobs).
-
-    The deprecated ``tiled`` alias is accepted too but not listed.
-    """
+    """Names accepted by ``resolve_kernel`` (and the CLI/env knobs)."""
     return tuple(sorted(_KERNELS))
 
 
@@ -1494,25 +1491,27 @@ def _resolve_exact(exact: bool | None) -> bool:
 
 
 def resolve_kernel(
-    kernel: "str | LloydKernel | None" = None,
+    kernel: KernelChoice = None,
     exact: bool | None = None,
 ) -> LloydKernel:
     """Resolve a kernel selection to a fresh kernel instance.
 
-    Precedence: an explicit ``kernel`` argument (name or instance) wins,
-    then the ``REPRO_KMEANS_KERNEL`` environment variable, then
-    ``"dense"``.  Passing an instance hands it back as-is (the caller
-    owns its lifecycle).
+    Precedence: an explicit ``kernel`` argument wins, then the
+    ``REPRO_KMEANS_KERNEL`` environment variable, then ``"dense"``.
+    Passing an instance hands it back as-is (the caller owns its
+    lifecycle).  A zero-argument factory — such as
+    :meth:`repro.core.spec.ClusterSpec.new_kernel`, which applies its
+    own spec's exactness gate — is called and its instance returned.
 
     ``exact`` gates the tier: ``None`` consults ``REPRO_KMEANS_EXACT``
     and defaults to ``True``.  Selecting an ``exact=False`` kernel (the
-    ``blas`` tier, including via its deprecated ``tiled`` alias) without
-    the waiver raises a ``ValueError`` — accuracy is never downgraded
-    silently.  Unknown names raise a ``ValueError`` naming the bad
-    value, the valid kernels, and the environment variable when the name
-    came from it.
+    ``blas`` tier) without the waiver raises a ``ValueError`` — accuracy
+    is never downgraded silently.  Unknown names raise a ``ValueError``
+    naming the bad value, the valid kernels, and the environment
+    variable when the name came from it.
     """
-    global _tiled_alias_warned
+    if callable(kernel) and not isinstance(kernel, type):
+        return kernel()
     require_exact = _resolve_exact(exact)
     if isinstance(kernel, LloydKernel):
         if require_exact and not kernel.exact:
@@ -1531,27 +1530,16 @@ def resolve_kernel(
             from_env = True
     if name is None or name == "":
         name = DenseKernel.name
-    if name == _TILED_ALIAS:
-        if not _tiled_alias_warned:
-            _tiled_alias_warned = True
-            warnings.warn(
-                "the 'tiled' kernel was retired; the name now aliases the "
-                "'blas' kernel (exact=False tier, explicit opt-in required)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        name = BlasKernel.name
     cls = _KERNELS.get(name)
     if cls is None:
         valid = ", ".join(available_kernels())
         if from_env:
             raise ValueError(
                 f"{KERNEL_ENV_VAR}={name!r} names an unknown k-means kernel; "
-                f"expected one of {valid} (or the deprecated alias 'tiled')"
+                f"expected one of {valid}"
             )
         raise ValueError(
-            f"unknown k-means kernel {name!r}; expected one of {valid} "
-            f"(or the deprecated alias 'tiled')"
+            f"unknown k-means kernel {name!r}; expected one of {valid}"
         )
     if require_exact and not cls.exact:
         raise ValueError(

@@ -14,11 +14,12 @@ Algorithm (paper Section 2):
 4. repeat until ``MSE(n-1) - MSE(n) <= tol``.
 
 The assignment step (2) is delegated to a pluggable backend from
-:mod:`repro.core.kernels` — dense reference, Hamerly bounds pruning, or
-tiled matmul expansion — selected via the ``kernel=`` argument or the
-``REPRO_KMEANS_KERNEL`` environment variable.  All backends are
-bit-identical in every output (see the kernels module docstring), so the
-choice is purely a performance knob.
+:mod:`repro.core.kernels` — the dense reference, Hamerly or Elkan bounds
+pruning, or the opt-in float32 ``blas`` tier — selected via the
+``kernel=`` argument or the ``REPRO_KMEANS_KERNEL`` environment
+variable.  The exact backends are bit-identical in every output (see the
+kernels module docstring), so choosing among them is purely a
+performance knob.
 
 Empty clusters — which the paper does not discuss but any fixed-k
 implementation must handle — are repaired by re-seeding the empty centroid
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion, MseDeltaCriterion
 from repro.core.kernels import (
-    LloydKernel,
+    KernelChoice,
     _pair_sq_distances,
     resolve_kernel,
 )
@@ -87,7 +88,7 @@ def lloyd(
     weights: np.ndarray | None = None,
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    kernel: "str | LloydKernel | None" = None,
+    kernel: KernelChoice = None,
     exact: bool | None = None,
     abandon_sse: float | None = None,
 ) -> KMeansResult:
@@ -104,9 +105,10 @@ def lloyd(
         max_iter: hard iteration cap.
         kernel: assignment backend — a name (``"dense"``, ``"hamerly"``,
             ``"elkan"``, ``"blas"``), a
-            :class:`~repro.core.kernels.LloydKernel` instance, or ``None``
-            to consult ``REPRO_KMEANS_KERNEL`` and fall back to the dense
-            reference.  Exact backends produce bit-identical results.
+            :class:`~repro.core.kernels.LloydKernel` instance or factory,
+            or ``None`` to consult ``REPRO_KMEANS_KERNEL`` and fall back
+            to the dense reference.  Exact backends produce bit-identical
+            results.
         exact: ``True`` (the default when ``None`` and
             ``REPRO_KMEANS_EXACT`` is unset) restricts selection to
             bit-identical kernels; ``False`` additionally admits the

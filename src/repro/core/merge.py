@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.kernels import KernelCounters, LloydKernel
+from repro.core.kernels import KernelChoice, KernelCounters
 from repro.core.kmeans import DEFAULT_MAX_ITER, lloyd
 from repro.core.model import KMeansResult, WeightedCentroidSet
 from repro.core.seeding import largest_weight_seeds, random_seeds
@@ -59,8 +59,7 @@ def _merge_once(
     k: int,
     criterion: ConvergenceCriterion | None,
     max_iter: int,
-    kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
+    kernel: KernelChoice = None,
 ) -> KMeansResult:
     """Run one weighted k-means over pooled centroids, seeded by weight."""
     seeds = largest_weight_seeds(pooled.centroids, k, pooled.weights)
@@ -71,7 +70,6 @@ def _merge_once(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
     )
 
 
@@ -82,8 +80,7 @@ def merge_kmeans(
     max_iter: int = DEFAULT_MAX_ITER,
     extra_random_restarts: int = 0,
     rng: np.random.Generator | None = None,
-    kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
+    kernel: KernelChoice = None,
 ) -> MergeResult:
     """Collective merge: pool all partials, weighted k-means once.
 
@@ -101,8 +98,8 @@ def merge_kmeans(
             those collapses; 0 reproduces the paper exactly.
         rng: randomness for the extra restarts (fresh default if needed).
         kernel: assignment backend forwarded to every merge k-means run
-            (exact backends are bit-identical; performance knob only).
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
+            (see :data:`~repro.core.kernels.KernelChoice`; exact backends
+            are bit-identical, so it is a performance knob only).
 
     Returns:
         A :class:`MergeResult`; the model's weights sum to the total number
@@ -121,7 +118,7 @@ def merge_kmeans(
         return MergeResult(model=pooled, mse=0.0, iterations=0, seconds=elapsed)
     counters = KernelCounters()
     best = _merge_once(
-        pooled, k, criterion, max_iter, kernel=kernel, exact=exact
+        pooled, k, criterion, max_iter, kernel=kernel
     )
     iterations = best.iterations
     counters.merge(best.counters)
@@ -136,7 +133,6 @@ def merge_kmeans(
                 criterion=criterion,
                 max_iter=max_iter,
                 kernel=kernel,
-                exact=exact,
             )
             iterations += candidate.iterations
             counters.merge(candidate.counters)
@@ -157,8 +153,7 @@ def incremental_merge_kmeans(
     k: int,
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
+    kernel: KernelChoice = None,
 ) -> MergeResult:
     """Incremental merge: fold each partition into a running summary.
 
@@ -181,7 +176,7 @@ def incremental_merge_kmeans(
             running = pooled
             continue
         result = _merge_once(
-            pooled, k, criterion, max_iter, kernel=kernel, exact=exact
+            pooled, k, criterion, max_iter, kernel=kernel
         )
         iterations += result.iterations
         last_mse = result.mse

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.kernels import KernelCounters, LloydKernel
+from repro.core.kernels import KernelChoice, KernelCounters
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import WeightedCentroidSet, as_points
 from repro.core.restarts import best_of_restarts
@@ -53,8 +53,7 @@ def partial_kmeans(
     seeding: str = "random",
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
+    kernel: KernelChoice = None,
     early_abandon: bool = False,
 ) -> PartialResult:
     """Cluster one partition and summarise it as weighted centroids.
@@ -68,11 +67,9 @@ def partial_kmeans(
         seeding: seed strategy for the restarts (paper: ``"random"``).
         criterion: convergence criterion (paper default when ``None``).
         max_iter: per-run iteration cap.
-        kernel: assignment backend name (``"dense"``/``"hamerly"``/
-            ``"elkan"``/``"blas"``) forwarded to every restart; exact
-            backends are bit-identical.
-        exact: ``False`` opts into the tolerance-close ``blas`` tier
-            (forwarded to :func:`~repro.core.kernels.resolve_kernel`).
+        kernel: assignment backend (see
+            :data:`~repro.core.kernels.KernelChoice`) forwarded to every
+            restart; exact backends are bit-identical.
         early_abandon: forward the restart early-abandon heuristic.
 
     Returns:
@@ -90,7 +87,6 @@ def partial_kmeans(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
         early_abandon=early_abandon,
     )
     elapsed = time.perf_counter() - start

@@ -20,34 +20,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.cell import (
+    cell_rng,
+    resolve_seed,
+    run_partial,
+    split_cell,
+    split_into_chunks,
+)
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import MergeResult, incremental_merge_kmeans, merge_kmeans
 from repro.core.model import ClusterModel, as_points
-from repro.core.partial import PartialResult, partial_kmeans
+from repro.core.partial import PartialResult
 from repro.core.quality import mse as evaluate_mse
+from repro.core.spec import ClusterSpec
 
 __all__ = ["PartialMergeKMeans", "PartialMergeReport", "split_into_chunks"]
 
-
-def split_into_chunks(
-    points: np.ndarray, n_chunks: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Randomly distribute points over ``n_chunks`` equal-sized chunks.
-
-    This reproduces the paper's experiment setup: "the data points of a
-    complete cell were randomly distributed over 5 or 10 'chunks'".  Chunk
-    sizes differ by at most one point.
-    """
-    pts = as_points(points)
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if n_chunks > pts.shape[0]:
-        raise ValueError(
-            f"cannot split {pts.shape[0]} points into {n_chunks} chunks"
-        )
-    perm = rng.permutation(pts.shape[0])
-    return [pts[idx] for idx in np.array_split(perm, n_chunks)]
+#: Spawn-key slot of the extra random merge restarts' RNG (next to the
+#: split slot of :mod:`repro.core.cell`).
+_MERGE_RESTARTS_SLOT = 2**32 - 2
 
 
 @dataclass(frozen=True)
@@ -67,6 +59,11 @@ class PartialMergeReport:
 
 class PartialMergeKMeans:
     """Partial/merge k-means for one grid cell.
+
+    A fit runs the cell task of :mod:`repro.core.cell` on the cell named
+    :attr:`CELL_ID`, so ``PartialMergeKMeans(seed=S).fit(points)`` gives
+    bit-identically the model that every stream backend computes for a
+    cell of that name with the same seed, spec and partition count.
 
     Args:
         k: number of centroids in the final model (and per partition).
@@ -94,7 +91,8 @@ class PartialMergeKMeans:
             (forwarded to :func:`~repro.core.kernels.resolve_kernel`).
         early_abandon: terminate restarts whose projected SSE cannot beat
             the incumbent best (heuristic; default off).
-        seed: seed for the internal random generator.
+        seed: seed of the cell task's RNG contract; every fit with the
+            same seed and input gives the same bits.
 
     Example:
         >>> import numpy as np
@@ -106,6 +104,9 @@ class PartialMergeKMeans:
         >>> model.k
         8
     """
+
+    #: The cell id a fit runs under (it keys the RNG contract).
+    CELL_ID = "cell"
 
     def __init__(
         self,
@@ -123,10 +124,6 @@ class PartialMergeKMeans:
         early_abandon: bool = False,
         seed: int | None = None,
     ) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {restarts}")
         if n_chunks < 1:
             raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
         if max_workers < 1:
@@ -137,19 +134,21 @@ class PartialMergeKMeans:
             )
         if merge_restarts < 0:
             raise ValueError(f"merge_restarts must be >= 0, got {merge_restarts}")
-        self.k = k
-        self.restarts = restarts
+        self.spec = ClusterSpec(
+            k=k,
+            restarts=restarts,
+            seeding=seeding,
+            criterion=criterion,
+            max_iter=max_iter,
+            kernel=kernel,
+            exact=exact,
+        )
         self.n_chunks = n_chunks
         self.max_workers = max_workers
         self.merge_mode = merge_mode
         self.merge_restarts = merge_restarts
-        self.seeding = seeding
-        self.criterion = criterion
-        self.max_iter = max_iter
-        self.kernel = kernel
-        self.exact = exact
         self.early_abandon = early_abandon
-        self._rng = np.random.default_rng(seed)
+        self.seed = resolve_seed(seed)
 
     def fit(self, points: np.ndarray) -> PartialMergeReport:
         """Split ``points`` into ``n_chunks`` random chunks and cluster.
@@ -159,7 +158,7 @@ class PartialMergeKMeans:
         spatial or salami strategies in :mod:`repro.data.partitioning`).
         """
         pts = as_points(points)
-        chunks = split_into_chunks(pts, min(self.n_chunks, pts.shape[0]), self._rng)
+        chunks = split_cell(pts, self.n_chunks, self.seed, self.CELL_ID)
         return self.fit_chunks(chunks, evaluate_on=pts)
 
     def fit_chunks(
@@ -199,7 +198,7 @@ class PartialMergeKMeans:
             mse=final_mse,
             method=f"partial/merge[{self.merge_mode}]",
             partitions=len(chunk_list),
-            restarts=self.restarts,
+            restarts=self.spec.restarts,
             partial_seconds=sum(p.seconds for p in partials),
             merge_seconds=merge.seconds,
             total_seconds=total,
@@ -214,54 +213,40 @@ class PartialMergeKMeans:
 
     def _run_partials(self, chunks: list[np.ndarray]) -> list[PartialResult]:
         """Run the partial operator on every chunk (serially or cloned)."""
-        # Pre-draw one child seed per chunk so results do not depend on
-        # thread completion order.
-        child_seeds = self._rng.integers(0, 2**63 - 1, size=len(chunks))
-        jobs = [
-            (chunk, np.random.default_rng(int(child_seed)), f"P{index}")
-            for index, (chunk, child_seed) in enumerate(zip(chunks, child_seeds))
-        ]
 
-        def run(job: tuple[np.ndarray, np.random.Generator, str]) -> PartialResult:
-            chunk, rng, label = job
-            return partial_kmeans(
-                chunk,
-                self.k,
-                self.restarts,
-                rng,
-                source=label,
-                seeding=self.seeding,
-                criterion=self.criterion,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-                exact=self.exact,
+        def run(index: int) -> PartialResult:
+            return run_partial(
+                self.spec,
+                self.seed,
+                self.CELL_ID,
+                index,
+                chunks[index],
                 early_abandon=self.early_abandon,
             )
 
-        if self.max_workers == 1 or len(jobs) == 1:
-            return [run(job) for job in jobs]
+        if self.max_workers == 1 or len(chunks) == 1:
+            return [run(index) for index in range(len(chunks))]
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(run, jobs))
+            return list(pool.map(run, range(len(chunks))))
 
     def _run_merge(self, partials: list[PartialResult]) -> MergeResult:
         """Merge partial summaries per the configured discipline."""
         summaries = [p.summary for p in partials]
+        spec = self.spec
         if self.merge_mode == "incremental":
             return incremental_merge_kmeans(
                 summaries,
-                self.k,
-                criterion=self.criterion,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-                exact=self.exact,
+                spec.merge_k,
+                criterion=spec.merge_criterion,
+                max_iter=spec.merge_max_iter,
+                kernel=spec.new_kernel,
             )
         return merge_kmeans(
             summaries,
-            self.k,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
+            spec.merge_k,
+            criterion=spec.merge_criterion,
+            max_iter=spec.merge_max_iter,
             extra_random_restarts=self.merge_restarts,
-            rng=self._rng,
-            kernel=self.kernel,
-            exact=self.exact,
+            rng=cell_rng(self.seed, self.CELL_ID, _MERGE_RESTARTS_SLOT),
+            kernel=spec.new_kernel,
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.kernels import KernelCounters, LloydKernel
+from repro.core.kernels import KernelChoice, KernelCounters
 from repro.core.kmeans import DEFAULT_MAX_ITER, lloyd
 from repro.core.model import KMeansResult, as_points
 from repro.core.seeding import resolve_strategy
@@ -63,8 +63,7 @@ def best_of_restarts(
     seeding: str = "random",
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
+    kernel: KernelChoice = None,
     early_abandon: bool = False,
 ) -> RestartReport:
     """Run ``restarts`` independent k-means and keep the lowest-MSE model.
@@ -79,10 +78,9 @@ def best_of_restarts(
             ``"kmeans++"``, ``"kmeans||"``).
         criterion: convergence criterion forwarded to the kernel.
         max_iter: per-run iteration cap.
-        kernel: assignment backend name or instance, forwarded to
+        kernel: assignment backend (see
+            :data:`~repro.core.kernels.KernelChoice`), forwarded to
             :func:`~repro.core.kmeans.lloyd` for every restart.
-        exact: forwarded to :func:`~repro.core.kernels.resolve_kernel`;
-            ``False`` admits the tolerance-close ``blas`` tier.
         early_abandon: terminate a restart once its projected final SSE
             exceeds the incumbent best (heuristic; default off).  Seed
             consumption from ``rng`` is unaffected, so the seeds — and the
@@ -119,7 +117,6 @@ def best_of_restarts(
             criterion=criterion,
             max_iter=max_iter,
             kernel=kernel,
-            exact=exact,
             abandon_sse=abandon_sse,
         )
         mses.append(result.mse)

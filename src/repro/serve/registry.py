@@ -14,8 +14,8 @@ Warm-start contract
 -------------------
 
 All serving state is a *pure function of the journal's contiguous
-record prefix* under a fixed registry configuration ``(k, seed,
-restarts, criterion, max_iter, kernel)``:
+record prefix* under a fixed registry configuration (its
+:class:`~repro.core.spec.ClusterSpec` and seed):
 
 * journaled ``cell`` records are adopted as each cell's base model
   (bit-identical — the journal codec never round-trips floats through
@@ -33,28 +33,31 @@ proves with a SIGKILL.  Ingested chunks append ``partition`` (and
 ``tree_node``) records to the same journal *before* the fold is
 applied, so the durable state always leads the served state.
 
-The partial k-means run on an ingested chunk draws its restart seeds
-from a generator keyed on ``(registry seed, cell id, partition index)``
-— re-ingesting a chunk after a crash reproduces the exact summary, so
-at-least-once delivery by a client converges to the same bits.
+An ingested chunk is summarised by the cell task's partial step
+(:func:`repro.core.cell.summarise_partition`) as partition ``index`` of
+its cell, under the same ``(seed, cell id, partition)`` RNG contract as
+every batch backend — re-ingesting a chunk after a crash reproduces the
+exact summary, so at-least-once delivery by a client converges to the
+same bits, and a chunk ingested as partition ``P`` journals the summary
+a batch run with the same seed computes for that partition.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.cell import summarise_partition
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.incremental import fold_summary
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel, as_points
-from repro.core.partial import partial_kmeans
 from repro.core.quality import assign_to_nearest
+from repro.core.spec import ClusterSpec
 from repro.stream.checkpoint import (
     JOURNAL_FILENAME,
     JournalState,
@@ -63,7 +66,6 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.coreset import CoresetTree, PrefixQuery
 from repro.stream.errors import StreamError
-from repro.stream.items import CentroidMessage
 
 __all__ = [
     "ServeError",
@@ -81,19 +83,6 @@ class ServeError(StreamError):
 
 class UnknownCellError(ServeError):
     """The requested cell is in neither the registry nor the journal."""
-
-
-def _chunk_rng(seed: int, cell_id: str, partition: int) -> np.random.Generator:
-    """Deterministic restart RNG for one (cell, partition) ingest.
-
-    Keyed on the registry seed plus a stable hash of the cell id plus
-    the partition index, so the partial summary of a chunk is a pure
-    function of its content and position — the warm-restart and
-    at-least-once-ingest guarantees both rest on this.
-    """
-    return np.random.default_rng(
-        [seed, zlib.crc32(cell_id.encode("utf-8")), partition]
-    )
 
 
 @dataclass(frozen=True)
@@ -251,19 +240,19 @@ class ModelRegistry:
         ttl_seconds: float | None = None,
         fsync: bool = True,
     ) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError(f"ttl_seconds must be > 0, got {ttl_seconds}")
         self.run_dir = Path(run_dir)
         self.journal_path = self.run_dir / JOURNAL_FILENAME
-        self.k = k
+        self.spec = ClusterSpec(
+            k=k,
+            restarts=restarts,
+            criterion=criterion,
+            max_iter=max_iter,
+            kernel=kernel,
+            exact=exact,
+        )
         self.seed = seed
-        self.restarts = restarts
-        self.criterion = criterion
-        self.max_iter = max_iter
-        self.kernel = kernel
-        self.exact = exact
         self.ttl_seconds = ttl_seconds
         self._fsync = fsync
         self._lock = threading.Lock()
@@ -324,13 +313,7 @@ class ModelRegistry:
             tree.offer(message)
             if index >= base_partitions:
                 model = fold_summary(
-                    model,
-                    message.summary,
-                    k=self._fold_k(model),
-                    criterion=self.criterion,
-                    max_iter=self.max_iter,
-                    kernel=self.kernel,
-                    exact=self.exact,
+                    model, message.summary, k=self._fold_k(model), spec=self.spec
                 )
                 self.partitions_replayed += 1
         if base is not None:
@@ -350,20 +333,12 @@ class ModelRegistry:
         def node_sink(start, count, summary, _cell=cell_id):
             self._writer().append_tree_node(_cell, start, count, summary)
 
-        return CoresetTree(
-            k=self.k,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            exact=self.exact,
-            node_sink=node_sink,
-            preloaded=preloaded,
-        )
+        return CoresetTree(self.spec, node_sink=node_sink, preloaded=preloaded)
 
     def _fold_k(self, model: ClusterModel | None) -> int:
         if model is not None and model.k > 0:
             return model.k
-        return self.k
+        return self.spec.k
 
     # -- entry access --------------------------------------------------------
 
@@ -426,8 +401,8 @@ class ModelRegistry:
     def ingest(self, cell_id: str, points: np.ndarray) -> IngestReceipt:
         """Fold one chunk of new points into a cell, durably.
 
-        The chunk is summarised by partial k-means (restart seeds keyed
-        on ``(seed, cell, partition index)``), the summary is journaled,
+        The chunk is summarised as partition ``index`` of the cell by the
+        cell task's partial step, the summary is journaled,
         and only then is the fold applied to the hot model and the
         coreset tree — crash between journal and fold re-derives the
         fold from the journal on restart.
@@ -436,34 +411,13 @@ class ModelRegistry:
         entry = self._entry(cell_id, create=True)
         with entry.lock:
             index = entry.partitions
-            fresh = partial_kmeans(
-                pts,
-                self._fold_k(entry.model),
-                self.restarts,
-                _chunk_rng(self.seed, cell_id, index),
-                source=f"serve/P{index}",
-                criterion=self.criterion,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-                exact=self.exact,
-            )
+            k = self._fold_k(entry.model)
+            spec = self.spec if k == self.spec.k else replace(self.spec, k=k)
+            message = summarise_partition(spec, self.seed, cell_id, index, pts)
             fold_began = time.perf_counter()
-            message = CentroidMessage(
-                cell_id=cell_id,
-                partition=index,
-                summary=fresh.summary,
-                n_partitions=0,
-                partial_seconds=fresh.seconds,
-            )
             self._writer().append_partition(message)
             entry.model = fold_summary(
-                entry.model,
-                fresh.summary,
-                k=self._fold_k(entry.model),
-                criterion=self.criterion,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-                exact=self.exact,
+                entry.model, message.summary, k=k, spec=self.spec
             )
             entry.tree.offer(message)
             entry.partitions = index + 1
@@ -475,7 +429,7 @@ class ModelRegistry:
                 partition=index,
                 n_points=pts.shape[0],
                 model_version=entry.partitions,
-                partial_seconds=fresh.seconds,
+                partial_seconds=message.partial_seconds,
                 fold_seconds=time.perf_counter() - fold_began,
             )
 
@@ -497,7 +451,7 @@ class ModelRegistry:
         with entry.lock:
             model = self._served_model(entry)
             assignments, sq_dists = assign_to_nearest(
-                pts, model.centroids, kernel=self.kernel, exact=self.exact
+                pts, model.centroids, kernel=self.spec.kernel, exact=self.spec.exact
             )
             age, stale = self._freshness(entry)
             return AssignResult(

@@ -48,16 +48,15 @@ merges).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
+from repro.core.cell import merge_summaries
 from repro.core.kernels import merge_counter_dicts
-from repro.core.kmeans import DEFAULT_MAX_ITER
-from repro.core.merge import merge_kmeans
 from repro.core.model import WeightedCentroidSet
+from repro.core.spec import ClusterSpec
 from repro.stream.errors import StreamError
 from repro.stream.items import CentroidMessage
 from repro.stream.kmeans_ops import MergeKMeansSink
@@ -163,13 +162,10 @@ class CoresetTree:
     """Binary-counter coreset tree over one cell's partition stream.
 
     Args:
-        k: centroids per node summary and per query answer.
-        criterion: convergence criterion for node/query merges (paper
-            default when ``None``).
-        max_iter: Lloyd iteration cap for node/query merges.
-        kernel: assignment backend for all merges (exact kernels are
-            bit-identical, so this is a pure performance knob).
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
+        spec: the run's :class:`~repro.core.spec.ClusterSpec`; every node
+            and query merge uses its merge settings (``merge_k``
+            centroids per summary).  Its fields may be given as keywords
+            instead (``CoresetTree(k=3)``).
         node_sink: optional callback ``(start, count, summary)`` invoked
             for every *computed* internal merge — the journaling hook.
         preloaded: optional mapping ``(start, count) -> summary`` of
@@ -179,21 +175,12 @@ class CoresetTree:
 
     def __init__(
         self,
-        k: int,
-        criterion: ConvergenceCriterion | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
-        exact: bool | None = None,
+        spec: ClusterSpec | None = None,
         node_sink: Callable[[int, int, WeightedCentroidSet], None] | None = None,
         preloaded: Mapping[tuple[int, int], WeightedCentroidSet] | None = None,
+        **fields: Any,
     ) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.criterion = criterion
-        self.max_iter = max_iter
-        self.kernel = kernel
-        self.exact = exact
+        self.spec = ClusterSpec.of(spec, **fields)
         self._node_sink = node_sink
         self._preloaded = dict(preloaded or {})
         self._roots: list[CoresetNode] = []
@@ -307,14 +294,7 @@ class CoresetTree:
             summary = adopted
             self.nodes_preloaded += 1
         else:
-            result = merge_kmeans(
-                [left.summary, right.summary],
-                self.k,
-                criterion=self.criterion,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-                exact=self.exact,
-            )
+            result = merge_summaries(self.spec, [left.summary, right.summary])
             summary = result.model
             self.node_merges += 1
             if result.counters is not None and result.counters.assign_calls:
@@ -403,14 +383,7 @@ class CoresetTree:
                 seconds=seconds,
             )
         nodes = self._cover(a, b)
-        result = merge_kmeans(
-            [node.summary for node in nodes],
-            self.k,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            exact=self.exact,
-        )
+        result = merge_summaries(self.spec, [node.summary for node in nodes])
         if result.counters is not None and result.counters.assign_calls:
             merge_counter_dicts(self.kernel_counters, result.counters.as_dict())
         model = result.model
@@ -484,26 +457,16 @@ class CoresetTreeSink(MergeKMeansSink):
 
     def __init__(
         self,
-        k: int,
-        criterion: ConvergenceCriterion | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
-        exact: bool | None = None,
+        spec: ClusterSpec | None = None,
         evaluate_on: Mapping[str, np.ndarray] | None = None,
         journal: "JournalWriter | None" = None,
         query_every: int | None = None,
         query_window: int | None = None,
         name: str = "merge",
+        **fields: Any,
     ) -> None:
         super().__init__(
-            k=k,
-            criterion=criterion,
-            max_iter=max_iter,
-            kernel=kernel,
-            exact=exact,
-            evaluate_on=evaluate_on,
-            journal=journal,
-            name=name,
+            spec, evaluate_on=evaluate_on, journal=journal, name=name, **fields
         )
         if query_every is not None and query_every < 1:
             raise ValueError(f"query_every must be >= 1, got {query_every}")
@@ -535,11 +498,7 @@ class CoresetTreeSink(MergeKMeansSink):
                     journal.append_tree_node(_cell, start, count, summary)
 
             tree = CoresetTree(
-                k=self.k,
-                criterion=self.criterion,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-                exact=self.exact,
+                self.spec,
                 node_sink=node_sink,
                 preloaded=self._preloaded_nodes.get(cell_id),
             )

@@ -3,6 +3,9 @@
 Items are small immutable messages; bulk data travels as numpy arrays held
 by reference (operators must not mutate received arrays).  The engine also
 uses a private end-of-stream sentinel which never reaches user code.
+:class:`CentroidMessage` is the cell task's partition summary
+(:mod:`repro.core.cell`), re-exported here as the item the partial
+operator emits.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.model import ClusterModel, WeightedCentroidSet, as_points
+from repro.core.cell import CentroidMessage
+from repro.core.model import ClusterModel, as_points
 
 __all__ = ["DataChunk", "CentroidMessage", "ModelMessage", "Watermark"]
 
@@ -43,27 +47,6 @@ class DataChunk:
     def n_points(self) -> int:
         """Number of points in the chunk."""
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class CentroidMessage:
-    """Weighted centroids of one partition, sent to the merge operator.
-
-    ``kernel_counters`` carries the partial step's kernel instrumentation
-    as a plain JSON-safe dict (see
-    :meth:`repro.core.kernels.KernelCounters.as_dict`) so it survives
-    pickling to process-backend workers and journal replay; ``None`` when
-    the producing run recorded none (e.g. a partition replayed from a
-    journal written before the field existed).
-    """
-
-    cell_id: str
-    partition: int
-    summary: WeightedCentroidSet
-    n_partitions: int = 0
-    partial_seconds: float = 0.0
-    partial_iterations: int = 0
-    kernel_counters: dict | None = None
 
 
 @dataclass(frozen=True)

@@ -17,21 +17,23 @@ resource envelope (which decides partial clone counts) and executes it.
 
 from __future__ import annotations
 
-import hashlib
-import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro.core.cell import (
+    cell_points,
+    merge_cell,
+    resolve_seed,
+    split_cell,
+    summarise_partition,
+)
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.kernels import merge_counter_dicts
 from repro.core.kmeans import DEFAULT_MAX_ITER
-from repro.core.merge import merge_kmeans
-from repro.core.model import ClusterModel, as_points
-from repro.core.partial import partial_kmeans
-from repro.core.pipeline import split_into_chunks
-from repro.core.quality import mse as evaluate_mse
+from repro.core.model import ClusterModel
+from repro.core.spec import ClusterSpec
 from repro.stream.executor import ExecutionResult, Executor
 from repro.stream.faults import FaultPlan
 from repro.stream.graph import DataflowGraph
@@ -68,7 +70,9 @@ class GridCellChunkSource(Source):
         n_chunks: fixed partition count per cell; ``None`` derives it from
             ``resources`` (the adaptive behaviour the paper argues for).
         resources: memory envelope used when ``n_chunks`` is ``None``.
-        seed: RNG seed controlling the random chunk assignment.
+        seed: seed of the split; each cell is split with
+            :func:`~repro.core.cell.split_rng`, so a cell's chunks do not
+            depend on the other cells or on scan order.
         name: operator name.
     """
 
@@ -86,20 +90,11 @@ class GridCellChunkSource(Source):
         if n_chunks is None and resources is None:
             raise ValueError("provide either n_chunks or resources")
         self._cells = {
-            cell: self._coerce(points) for cell, points in cells.items()
+            cell: cell_points(points) for cell, points in cells.items()
         }
         self._n_chunks = n_chunks
         self._resources = resources
-        self._rng = np.random.default_rng(seed)
-
-    @staticmethod
-    def _coerce(points: np.ndarray) -> np.ndarray:
-        """Validate one cell's points, allowing the zero-point cell."""
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.size == 0:
-            dim = arr.shape[1] if arr.ndim == 2 else 1
-            return np.zeros((0, max(1, dim)), dtype=np.float64)
-        return as_points(arr)
+        self._seed = resolve_seed(seed)
 
     def generate(self) -> Iterator[DataChunk | Watermark]:
         for cell_id, points in self._cells.items():
@@ -121,8 +116,7 @@ class GridCellChunkSource(Source):
                 chunks_wanted = self._resources.partitions_for(
                     points.shape[0], points.shape[1]
                 )
-            chunks_wanted = min(chunks_wanted, points.shape[0])
-            chunks = split_into_chunks(points, chunks_wanted, self._rng)
+            chunks = split_cell(points, chunks_wanted, self._seed, cell_id)
             for index, chunk in enumerate(chunks):
                 yield DataChunk(
                     cell_id=cell_id,
@@ -135,69 +129,36 @@ class GridCellChunkSource(Source):
 class PartialKMeansOperator(Transform):
     """Cloneable transform running partial k-means on each chunk.
 
-    Every chunk's RNG is derived from the base seed and the chunk's
-    identity ``(cell_id, partition)`` — never from processing order — so
-    a partition's weighted centroids depend only on the seed and the
-    chunk's points.  That makes parallel plans reproducible for a fixed
-    seed *regardless of clone count or scheduling*, and it is what lets a
-    journal resume (:mod:`repro.stream.checkpoint`) skip completed
-    partitions and still produce a bit-identical final model.  Clones
-    share the base seed sequence for the same reason.
+    Each chunk is summarised by :func:`~repro.core.cell.summarise_partition`
+    under the ``(seed, cell, partition)`` RNG contract — never from
+    processing order — so a partition's weighted centroids depend only on
+    the seed and the chunk's points.  That makes parallel plans
+    reproducible for a fixed seed *regardless of clone count, backend or
+    scheduling*, and it is what lets a journal resume
+    (:mod:`repro.stream.checkpoint`) skip completed partitions and still
+    produce a bit-identical final model.
+
+    Args:
+        spec: the run's :class:`~repro.core.spec.ClusterSpec`; or give
+            its fields as keywords (``PartialKMeansOperator(k=5)``).
+        seed: base seed of the RNG contract (fresh entropy when ``None``,
+            drawn once and shared by every clone).
+        name: operator name.
     """
 
     def __init__(
         self,
-        k: int,
-        restarts: int = 10,
-        seeding: str = "random",
-        criterion: ConvergenceCriterion | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
-        exact: bool | None = None,
-        seed_sequence: np.random.SeedSequence | None = None,
+        spec: ClusterSpec | None = None,
+        seed: int | None = None,
         name: str = "partial",
+        **fields: Any,
     ) -> None:
         super().__init__(name)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.restarts = restarts
-        self.seeding = seeding
-        self.criterion = criterion
-        self.max_iter = max_iter
-        self.kernel = kernel
-        self.exact = exact
-        self._seed_sequence = (
-            seed_sequence if seed_sequence is not None else np.random.SeedSequence()
-        )
+        self.spec = ClusterSpec.of(spec, **fields)
+        self.seed = resolve_seed(seed)
 
     def clone(self) -> "PartialKMeansOperator":
-        return PartialKMeansOperator(
-            k=self.k,
-            restarts=self.restarts,
-            seeding=self.seeding,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            exact=self.exact,
-            seed_sequence=self._seed_sequence,
-            name=self.name,
-        )
-
-    def _rng_for_chunk(self, cell_id: str, partition: int) -> np.random.Generator:
-        """Chunk-identity RNG: a pure function of (seed, cell, partition)."""
-        digest = hashlib.blake2b(cell_id.encode("utf-8"), digest_size=8).digest()
-        base = self._seed_sequence
-        derived = np.random.SeedSequence(
-            entropy=base.entropy,
-            spawn_key=tuple(base.spawn_key)
-            + (
-                int.from_bytes(digest[:4], "little"),
-                int.from_bytes(digest[4:], "little"),
-                partition,
-            ),
-        )
-        return np.random.default_rng(derived)
+        return PartialKMeansOperator(self.spec, seed=self.seed, name=self.name)
 
     def process(
         self, item: DataChunk | Watermark
@@ -208,83 +169,37 @@ class PartialKMeansOperator(Transform):
             # reordering cannot finalise a cell early.
             yield item
             return
-        result = partial_kmeans(
+        yield summarise_partition(
+            self.spec,
+            self.seed,
+            item.cell_id,
+            item.partition,
             item.points,
-            self.k,
-            self.restarts,
-            self._rng_for_chunk(item.cell_id, item.partition),
-            source=f"{item.cell_id}/P{item.partition}",
-            seeding=self.seeding,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            exact=self.exact,
-        )
-        yield CentroidMessage(
-            cell_id=item.cell_id,
-            partition=item.partition,
-            summary=result.summary,
             n_partitions=item.n_partitions,
-            partial_seconds=result.seconds,
-            partial_iterations=result.iterations,
-            kernel_counters=(
-                result.counters.as_dict() if result.counters else None
-            ),
         )
 
     def to_spec(self) -> "PartialKMeansSpec":
         """Picklable recipe for the process backend (rebuilds this clone)."""
-        base = self._seed_sequence
-        return PartialKMeansSpec(
-            k=self.k,
-            restarts=self.restarts,
-            seeding=self.seeding,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            exact=self.exact,
-            entropy=base.entropy,
-            spawn_key=tuple(base.spawn_key),
-            name=self.name,
-        )
+        return PartialKMeansSpec(spec=self.spec, seed=self.seed, name=self.name)
 
 
 @dataclass(frozen=True)
 class PartialKMeansSpec:
     """Picklable recipe rebuilding a :class:`PartialKMeansOperator`.
 
-    The process backend ships this spec to the worker instead of the
-    operator itself.  ``entropy``/``spawn_key`` reconstruct the shared
-    seed sequence exactly, so a worker-built clone derives the same
-    chunk-identity RNG streams as the in-process original — which is why
-    thread- and process-backend runs of the same plan are bit-identical.
+    The process backend ships this recipe to the worker instead of the
+    operator itself.  The cluster spec and seed are all a clone needs, so
+    a worker-built clone computes the same bits as the in-process
+    original — which is why thread- and process-backend runs of the same
+    plan are bit-identical.
     """
 
-    k: int
-    restarts: int
-    seeding: str
-    criterion: ConvergenceCriterion | None
-    max_iter: int
-    entropy: int
-    spawn_key: tuple[int, ...]
+    spec: ClusterSpec
+    seed: int
     name: str
-    kernel: str | None = None
-    exact: bool | None = None
 
     def build(self) -> PartialKMeansOperator:
-        return PartialKMeansOperator(
-            k=self.k,
-            restarts=self.restarts,
-            seeding=self.seeding,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            exact=self.exact,
-            seed_sequence=np.random.SeedSequence(
-                entropy=self.entropy, spawn_key=self.spawn_key
-            ),
-            name=self.name,
-        )
+        return PartialKMeansOperator(self.spec, seed=self.seed, name=self.name)
 
 
 class MergeKMeansSink(Sink):
@@ -294,17 +209,18 @@ class MergeKMeansSink(Sink):
     (count known from the messages); any cells still pending at end of
     stream are finalised in :meth:`result`.
 
-    Every final model's ``extra`` dict carries ``merge_iterations`` (int)
-    and ``partial_iterations`` (list of int, in partition order).  A cell
-    finalised with partitions missing (``degrade`` drops upstream)
-    additionally carries ``incomplete`` (True), ``expected_partitions``
-    (int) and ``missing_partitions`` (sorted list of int); a declared
-    empty cell carries ``empty_cell`` (True) instead.  All values are
-    JSON-safe, so the shape survives a journal round-trip — subclasses
-    (:class:`~repro.stream.coreset.CoresetTreeSink`) share this contract.
+    Cells are merged by :func:`~repro.core.cell.merge_cell`, whose
+    ``extra`` contract (``merge_iterations``, ``partial_iterations`` and,
+    for a cell finalised with partitions missing, ``incomplete``/
+    ``expected_partitions``/``missing_partitions``) every final model
+    carries; a declared empty cell carries ``empty_cell`` (True) instead.
+    Subclasses (:class:`~repro.stream.coreset.CoresetTreeSink`) share
+    this contract.
 
     Args:
-        k: centroids in each final cell model.
+        spec: the run's :class:`~repro.core.spec.ClusterSpec` (its merge
+            settings apply); or give its fields as keywords
+            (``MergeKMeansSink(k=4)``).
         evaluate_on: optional mapping of cell id to raw points; when given,
             each final model's MSE is recomputed against the raw data so
             results are directly comparable with the serial baseline.
@@ -317,21 +233,14 @@ class MergeKMeansSink(Sink):
 
     def __init__(
         self,
-        k: int,
-        criterion: ConvergenceCriterion | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
-        exact: bool | None = None,
+        spec: ClusterSpec | None = None,
         evaluate_on: Mapping[str, np.ndarray] | None = None,
         journal: "JournalWriter | None" = None,
         name: str = "merge",
+        **fields: Any,
     ) -> None:
         super().__init__(name)
-        self.k = k
-        self.criterion = criterion
-        self.max_iter = max_iter
-        self.kernel = kernel
-        self.exact = exact
+        self.spec = ClusterSpec.of(spec, **fields)
         self._evaluate_on = dict(evaluate_on or {})
         self._journal = journal
         self._pending: dict[str, list[CentroidMessage]] = {}
@@ -411,17 +320,12 @@ class MergeKMeansSink(Sink):
         messages = self._pending.pop(cell_id, [])
         if not messages:
             return
-        messages.sort(key=lambda m: m.partition)
-        start = time.perf_counter()
-        merged = merge_kmeans(
-            [m.summary for m in messages],
-            self.k,
-            criterion=self.criterion,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            exact=self.exact,
+        model, merged = merge_cell(
+            self.spec,
+            messages,
+            expected=self._expected.get(cell_id, 0),
+            evaluate_on=self._evaluate_on.get(cell_id),
         )
-        total = time.perf_counter() - start
         for message in messages:
             if message.kernel_counters:
                 merge_counter_dicts(
@@ -433,42 +337,11 @@ class MergeKMeansSink(Sink):
                 self.kernel_counters.setdefault("merge", {}),
                 merged.counters.as_dict(),
             )
-        raw = self._evaluate_on.get(cell_id)
-        final_mse = (
-            evaluate_mse(raw, merged.model.centroids) if raw is not None else merged.mse
-        )
-        partial_seconds = sum(m.partial_seconds for m in messages)
-        extra: dict = {
-            "merge_iterations": merged.iterations,
-            "partial_iterations": [m.partial_iterations for m in messages],
-        }
-        expected = self._expected.get(cell_id, 0)
-        if expected and len(messages) != expected:
-            # Finalising short: partitions were dropped upstream (degrade
-            # policy).  The model is still usable, but the loss must be
-            # visible — both on the model and in the execution metrics.
-            # Shape contract (shared with CoresetTreeSink, asserted by
-            # tests and JSON-journal-safe): ``incomplete`` is True,
-            # ``expected_partitions`` is an int, ``missing_partitions`` is
-            # a sorted list of ints.
-            present = {m.partition for m in messages}
-            extra["incomplete"] = True
-            extra["expected_partitions"] = int(expected)
-            extra["missing_partitions"] = sorted(
-                int(p) for p in set(range(expected)) - present
-            )
+        if model.extra.get("incomplete"):
+            # Partitions were dropped upstream (degrade policy): the model
+            # is still usable, but the loss must be visible in the
+            # execution metrics too.
             self.incomplete_cells.append(cell_id)
-        model = ClusterModel(
-            centroids=merged.model.centroids,
-            weights=merged.model.weights,
-            mse=final_mse,
-            method="partial/merge[stream]",
-            partitions=len(messages),
-            partial_seconds=partial_seconds,
-            merge_seconds=merged.seconds,
-            total_seconds=partial_seconds + total,
-            extra=extra,
-        )
         self._models[cell_id] = model
         if self._journal is not None:
             self._journal.append_cell(cell_id, model)
@@ -476,39 +349,27 @@ class MergeKMeansSink(Sink):
 
 def build_partial_merge_graph(
     cells: Mapping[str, np.ndarray],
-    k: int,
-    restarts: int = 10,
+    spec: ClusterSpec | None = None,
     n_chunks: int | None = None,
     resources: ResourceManager | None = None,
     seed: int | None = None,
     evaluate_against_raw: bool = True,
-    criterion: ConvergenceCriterion | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    kernel: str | None = None,
-    exact: bool | None = None,
+    **fields: Any,
 ) -> DataflowGraph:
-    """Assemble the scan → partial → merge dataflow for ``cells``."""
+    """Assemble the scan → partial → merge dataflow for ``cells``.
+
+    ``spec`` is the run's :class:`~repro.core.spec.ClusterSpec`; its
+    fields may be given as keywords instead (``k=4, restarts=2``).
+    """
+    spec = ClusterSpec.of(spec, **fields)
+    seed = resolve_seed(seed)
     graph = DataflowGraph()
     source = GridCellChunkSource(
         cells, n_chunks=n_chunks, resources=resources, seed=seed
     )
-    seed_sequence = np.random.SeedSequence(seed) if seed is not None else None
-    partial = PartialKMeansOperator(
-        k=k,
-        restarts=restarts,
-        criterion=criterion,
-        max_iter=max_iter,
-        kernel=kernel,
-        exact=exact,
-        seed_sequence=seed_sequence,
-    )
+    partial = PartialKMeansOperator(spec, seed=seed)
     merge = MergeKMeansSink(
-        k=k,
-        criterion=criterion,
-        max_iter=max_iter,
-        kernel=kernel,
-        exact=exact,
-        evaluate_on=cells if evaluate_against_raw else None,
+        spec, evaluate_on=cells if evaluate_against_raw else None
     )
     graph.add(source, cost_hint=1.0)
     # The paper: partial k-means "is by far the most expensive computation".
@@ -560,14 +421,12 @@ def run_partial_merge_stream(
         backend: run partial-k-means clones on ``"threads"`` or
             ``"processes"`` (worker processes fed over shared memory);
             ``None`` defers to the ``REPRO_STREAM_BACKEND`` environment
-            variable, then ``"threads"``.  Results are bit-identical
-            across backends for a fixed seed.  ``"shards"`` routes the
-            whole run to the fault-tolerant shard-per-cell runtime
+            variable, then ``"threads"``.  ``"shards"`` routes the whole
+            run to the fault-tolerant shard-per-cell runtime
             (:func:`repro.stream.shard.run_sharded`) instead of the
-            plan-based engine — shard runs are bit-identical to other
-            shard runs with the same seed, but chunk cells with per-cell
-            RNGs, so they are not bit-comparable with thread/process
-            runs.
+            plan-based engine.  Every backend runs the cell task of
+            :mod:`repro.core.cell`, so results are bit-identical across
+            backends for a fixed seed.
         workers: shorthand for ``partial_clones`` aimed at the process
             backend (one worker process per clone); ignored when
             ``partial_clones`` is given explicitly.
@@ -590,41 +449,36 @@ def run_partial_merge_stream(
     if partial_clones is None and workers is not None:
         partial_clones = workers
     envelope = resources if resources is not None else ResourceManager()
-    if resolve_backend(backend) == SHARDS:
-        # Lazy import: shard pulls in multiprocessing.connection and is
-        # only needed on this path.
-        from repro.stream.shard import ShardConfig, run_sharded
-
-        shard_config = ShardConfig(n_workers=partial_clones or 2)
-        if retry_policy is not None:
-            shard_config = replace(shard_config, reassign_policy=retry_policy)
-        models, metrics = run_sharded(
-            cells,
-            k,
-            restarts=restarts,
-            seeding="random",
-            n_chunks=n_chunks,
-            resources=envelope,
-            seed=seed,
-            criterion=criterion,
-            max_iter=max_iter,
-            kernel=kernel,
-            exact=exact,
-            config=shard_config,
-            fault_plan=fault_plan,
-        )
-        return models, ExecutionResult(value=models, metrics=metrics)
-    graph = build_partial_merge_graph(
-        cells,
-        k,
+    spec = ClusterSpec(
+        k=k,
         restarts=restarts,
-        n_chunks=n_chunks,
-        resources=envelope,
-        seed=seed,
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
         exact=exact,
+    )
+    if resolve_backend(backend) == SHARDS:
+        # Lazy import: shard pulls in multiprocessing.connection and is
+        # only needed on this path.
+        from repro.stream.shard import ShardConfig, ShardCoordinator
+
+        shard_config = ShardConfig(n_workers=partial_clones or 2)
+        if retry_policy is not None:
+            shard_config = replace(shard_config, reassign_policy=retry_policy)
+        coordinator = ShardCoordinator(
+            cells,
+            spec,
+            n_chunks=n_chunks,
+            resources=envelope,
+            seed=seed,
+            config=shard_config,
+            fault_plan=fault_plan,
+        )
+        models = coordinator.run()
+        metrics = coordinator.metrics
+        return models, ExecutionResult(value=models, metrics=metrics)
+    graph = build_partial_merge_graph(
+        cells, spec, n_chunks=n_chunks, resources=envelope, seed=seed
     )
     for name, policy in (supervision or {}).items():
         graph.set_supervision(name, policy)

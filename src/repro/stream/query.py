@@ -36,6 +36,7 @@ import numpy as np
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.kernels import resolve_kernel
 from repro.core.kmeans import DEFAULT_MAX_ITER
+from repro.core.spec import ClusterSpec
 from repro.stream.checkpoint import (
     CheckpointError,
     JournalState,
@@ -262,10 +263,11 @@ class Query:
         and survive worker loss (crash, silence, stall) with
         bit-identical recovery.  See :mod:`repro.stream.shard`.
 
-        Shard runs are bit-identical to other shard runs with the same
-        seed (regardless of ``shards`` or injected worker faults), but
-        chunk cells with per-cell RNGs, so they are not bit-comparable
-        with thread/process runs.
+        Shard runs with the same seed are bit-identical to each other
+        (regardless of ``shards`` or injected worker faults) and to
+        thread/process runs of the same in-memory cells; a bucket scan
+        is chunked in file order on the plan backends, so bucket runs
+        compare only within a backend.
 
         Args:
             shards: worker processes to spawn.
@@ -304,9 +306,9 @@ class Query:
                 resume guarantee.
         """
         try:
-            # Full selection semantics (two tiers, deprecated aliases,
-            # env interplay) live in resolve_kernel; validate through it
-            # so Query can never accept a kernel execute() would reject.
+            # Full selection semantics (two tiers, env interplay) live in
+            # resolve_kernel; validate through it so Query can never
+            # accept a kernel execute() would reject.
             resolve_kernel(kernel, exact=exact)
         except ValueError as error:
             raise QueryError(str(error)) from None
@@ -439,6 +441,24 @@ class Query:
             else ResourceManager()
         )
 
+    def _spec(self) -> ClusterSpec:
+        """The cluster spec of the ``cluster``/``merge``/kernel stages."""
+        state = self._state
+        cluster = dict(state.cluster_args or {})
+        merge = dict(state.merge_args or {})
+        return ClusterSpec(
+            k=cluster["k"],
+            restarts=cluster["restarts"],
+            seeding=cluster["seeding"],
+            criterion=cluster["criterion"],
+            max_iter=cluster["max_iter"],
+            merge_k=merge.get("k"),
+            merge_criterion=merge.get("criterion"),
+            merge_max_iter=merge.get("max_iter"),
+            kernel=state.kernel,
+            exact=state.exact,
+        )
+
     def _build_graph(
         self,
         journal: JournalWriter | None = None,
@@ -448,10 +468,7 @@ class Query:
         self._validate()
         state = self._state
         resources = self._resources()
-        cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {"k": None, "criterion": None,
-                                          "max_iter": cluster["max_iter"]})
-        merge_k = merge["k"] if merge["k"] is not None else cluster["k"]
+        spec = self._spec()
 
         graph = DataflowGraph()
         if state.source_kind == "cells":
@@ -475,41 +492,17 @@ class Query:
             )
             evaluate_on = None
 
-        seed_sequence = (
-            np.random.SeedSequence(state.seed) if state.seed is not None else None
-        )
-        partial = PartialKMeansOperator(
-            k=cluster["k"],
-            restarts=cluster["restarts"],
-            seeding=cluster["seeding"],
-            criterion=cluster["criterion"],
-            max_iter=cluster["max_iter"],
-            kernel=state.kernel,
-            exact=state.exact,
-            seed_sequence=seed_sequence,
-        )
+        partial = PartialKMeansOperator(spec, seed=state.seed)
         if state.prefix_queries:
             sink: MergeKMeansSink = CoresetTreeSink(
-                k=merge_k,
-                criterion=merge["criterion"],
-                max_iter=merge["max_iter"],
-                kernel=state.kernel,
-                exact=state.exact,
+                spec,
                 evaluate_on=evaluate_on,
                 journal=journal,
                 query_every=state.prefix_query_every,
                 query_window=state.prefix_query_window,
             )
         else:
-            sink = MergeKMeansSink(
-                k=merge_k,
-                criterion=merge["criterion"],
-                max_iter=merge["max_iter"],
-                kernel=state.kernel,
-                exact=state.exact,
-                evaluate_on=evaluate_on,
-                journal=journal,
-            )
+            sink = MergeKMeansSink(spec, evaluate_on=evaluate_on, journal=journal)
         graph.add(source, cost_hint=1.0)
         graph.add(partial, cost_hint=16.0)
         graph.add(sink, cost_hint=1.0)
@@ -575,7 +568,7 @@ class Query:
         from dataclasses import replace
 
         from repro.data.gridio import read_bucket_file
-        from repro.stream.shard import ShardConfig, run_sharded
+        from repro.stream.shard import ShardConfig, ShardCoordinator
 
         state = self._state
         if state.checkpoint_dir is not None:
@@ -602,8 +595,6 @@ class Query:
             for path in paths:
                 bucket = read_bucket_file(path)
                 cells[bucket.cell_id.key] = bucket.points
-        cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {})
         config = (
             state.shard_config
             if state.shard_config is not None
@@ -615,23 +606,17 @@ class Query:
         if state.stall_timeout is not None:
             overrides["stall_timeout"] = state.stall_timeout
         config = replace(config, **overrides)
-        models, metrics = run_sharded(
+        coordinator = ShardCoordinator(
             cells,
-            cluster["k"],
-            restarts=cluster["restarts"],
-            seeding=cluster["seeding"],
+            self._spec(),
             n_chunks=state.n_chunks,
             resources=self._resources(),
             seed=state.seed,
-            merge_k=merge.get("k"),
-            criterion=cluster["criterion"],
-            max_iter=cluster["max_iter"],
-            kernel=state.kernel,
-            exact=state.exact,
             config=config,
             fault_plan=fault_plan,
         )
-        execution = ExecutionResult(value=models, metrics=metrics)
+        models = coordinator.run()
+        execution = ExecutionResult(value=models, metrics=coordinator.metrics)
         return QueryResult(models=models, execution=execution)
 
     def _offline_tree_sink(self, journal_state: JournalState) -> CoresetTreeSink:
@@ -644,16 +629,8 @@ class Query:
         same bits the original run produced.
         """
         state = self._state
-        cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {"k": None, "criterion": None,
-                                          "max_iter": cluster["max_iter"]})
-        merge_k = merge["k"] if merge["k"] is not None else cluster["k"]
         sink = CoresetTreeSink(
-            k=merge_k,
-            criterion=merge["criterion"],
-            max_iter=merge["max_iter"],
-            kernel=state.kernel,
-            exact=state.exact,
+            self._spec(),
             query_every=state.prefix_query_every,
             query_window=state.prefix_query_window,
         )

@@ -26,25 +26,19 @@ worker with the fewest pending cells (spawning a replacement when nobody
 survives and ``respawn`` is on).  The new owner *replays* every prior
 epoch's journal for the cell — completed partition summaries are adopted
 bit-for-bit (the journal stores little-endian float64 bytes) and only the
-missing partitions are recomputed.  Because each partition's RNG is a
-pure function of ``(seed, cell_id, partition)`` (the same derivation as
-:class:`~repro.stream.kmeans_ops.PartialKMeansOperator`), the final
-per-cell models are **bit-identical to a fault-free shard run** no matter
-which worker finishes the cell or how many times it moved.
+missing partitions are recomputed.  Each worker runs the cell task of
+:mod:`repro.core.cell`, whose RNGs are pure functions of ``(seed,
+cell_id, slot)``, so the final per-cell models are **bit-identical to a
+fault-free run on any backend** no matter which worker finishes the cell
+or how many times it moved.
 
 Reassignment attempts per cell are bounded by a
 :class:`~repro.stream.supervision.RetryPolicy`; a cell that exhausts its
 budget enters the degrade tier: the coordinator salvages whatever
 partitions the journals hold, merges them into a model carrying the
-standard ``incomplete`` extras (the
-:class:`~repro.stream.kmeans_ops.MergeKMeansSink` contract), and the run
-completes with the loss visible in the metrics instead of failing.
-
-Chunking note: a shard worker derives one chunk-assignment RNG *per cell*
-from ``(seed, cell_id)``, so a cell's random partition split is identical
-on any worker.  The plan-based backends instead thread one RNG across
-cells in scan order, so shard runs are bit-comparable with other shard
-runs (same seed), not with thread/process runs.
+standard ``incomplete`` extras (:func:`repro.core.cell.merge_cell`), and
+the run completes with the loss visible in the metrics instead of
+failing.
 
 Transport is ``"pipe"`` (default, :func:`multiprocessing.Pipe`) or
 ``"tcp"`` (:class:`multiprocessing.connection.Listener` on loopback, with
@@ -57,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import queue
 import re
 import signal
 import tempfile
@@ -70,13 +65,17 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.core.cell import (
+    cell_points,
+    merge_cell,
+    resolve_seed,
+    split_cell,
+    summarise_partition,
+)
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.kmeans import DEFAULT_MAX_ITER
-from repro.core.merge import merge_kmeans
-from repro.core.model import ClusterModel, as_points
-from repro.core.partial import partial_kmeans
-from repro.core.pipeline import split_into_chunks
-from repro.core.quality import mse as evaluate_mse
+from repro.core.model import ClusterModel
+from repro.core.spec import ClusterSpec
 from repro.stream.checkpoint import (
     JournalFormatError,
     JournalWriter,
@@ -107,38 +106,12 @@ __all__ = [
 #: ``ClusterModel.method`` recorded by shard runs.
 SHARD_METHOD = "partial/merge[shard]"
 
-#: Spawn-key sentinel for the per-cell chunk-assignment RNG.  Partition
-#: RNGs use the partition index in the same slot; real partition counts
-#: never reach 2**32 - 1, so the streams cannot collide.
-_CHUNK_RNG_SENTINEL = 2**32 - 1
-
 #: How long the coordinator waits for a worker to exit after ``stop``.
 _SHUTDOWN_GRACE = 2.0
 
 
 def _cell_digest(cell_id: str) -> bytes:
     return hashlib.blake2b(cell_id.encode("utf-8"), digest_size=8).digest()
-
-
-def _derived_rng(
-    entropy: int, spawn_key: tuple[int, ...], cell_id: str, slot: int
-) -> np.random.Generator:
-    """The chunk-identity RNG derivation shared with the plan backends.
-
-    A pure function of ``(seed, cell, slot)`` — never of worker identity
-    or scheduling — which is what makes journal replay bit-identical.
-    """
-    digest = _cell_digest(cell_id)
-    derived = np.random.SeedSequence(
-        entropy=entropy,
-        spawn_key=tuple(spawn_key)
-        + (
-            int.from_bytes(digest[:4], "little"),
-            int.from_bytes(digest[4:], "little"),
-            slot,
-        ),
-    )
-    return np.random.default_rng(derived)
 
 
 def cell_journal_path(run_dir: str | Path, cell_id: str, epoch: int) -> Path:
@@ -215,24 +188,16 @@ class CellTask:
     """One cell assignment shipped to a worker.
 
     Everything a worker needs to produce the cell's final model without
-    talking to anyone: the points, the clustering configuration, the seed
-    material, its own epoch journal path and the prior epochs to replay.
+    talking to anyone: the points, the cluster spec, the seed, its own
+    epoch journal path and the prior epochs to replay.
     """
 
     cell_id: str
     epoch: int
     points: np.ndarray
     n_chunks: int
-    k: int
-    merge_k: int
-    restarts: int
-    seeding: str
-    criterion: ConvergenceCriterion | None
-    max_iter: int
-    kernel: str | None
-    exact: bool | None
-    entropy: int
-    spawn_key: tuple[int, ...]
+    spec: ClusterSpec
+    seed: int
     journal_path: str
     prior_journals: tuple[str, ...]
     fsync: bool
@@ -323,16 +288,15 @@ def _run_cell_task(
     task: CellTask, progress: list[int], chaos: _WorkerChaos
 ) -> tuple[ClusterModel, dict[str, Any]]:
     """Execute one cell's partial/merge pipeline, journaling as we go."""
-    points = as_points(task.points) if task.points.size else task.points
+    points = cell_points(task.points)
     info: dict[str, Any] = {
         "partitions_computed": 0,
         "partitions_replayed": 0,
         "replayed_records": 0,
     }
     if points.shape[0] == 0:
-        dim = points.shape[1] if points.ndim == 2 else 1
         model = ClusterModel.empty(
-            max(1, dim), method=SHARD_METHOD, extra={"empty_cell": True}
+            points.shape[1], method=SHARD_METHOD, extra={"empty_cell": True}
         )
         with JournalWriter(task.journal_path, fsync=task.fsync) as writer:
             writer.append_cell(task.cell_id, model)
@@ -347,12 +311,7 @@ def _run_cell_task(
             writer.append_cell(task.cell_id, prior_model)
         return prior_model, info
 
-    n_chunks = min(task.n_chunks, points.shape[0])
-    chunk_rng = _derived_rng(
-        task.entropy, task.spawn_key, task.cell_id, _CHUNK_RNG_SENTINEL
-    )
-    chunks = split_into_chunks(points, n_chunks, chunk_rng)
-
+    chunks = split_cell(points, task.n_chunks, task.seed, task.cell_id)
     messages: list[CentroidMessage] = []
     with JournalWriter(task.journal_path, fsync=task.fsync) as writer:
         for index, chunk in enumerate(chunks):
@@ -361,108 +320,28 @@ def _run_cell_task(
             if message is not None:
                 info["partitions_replayed"] += 1
             else:
-                rng = _derived_rng(
-                    task.entropy, task.spawn_key, task.cell_id, index
-                )
-                result = partial_kmeans(
+                message = summarise_partition(
+                    task.spec,
+                    task.seed,
+                    task.cell_id,
+                    index,
                     chunk,
-                    task.k,
-                    task.restarts,
-                    rng,
-                    source=f"{task.cell_id}/P{index}",
-                    seeding=task.seeding,
-                    criterion=task.criterion,
-                    max_iter=task.max_iter,
-                    kernel=task.kernel,
-                    exact=task.exact,
-                )
-                message = CentroidMessage(
-                    cell_id=task.cell_id,
-                    partition=index,
-                    summary=result.summary,
                     n_partitions=len(chunks),
-                    partial_seconds=result.seconds,
-                    partial_iterations=result.iterations,
-                    kernel_counters=(
-                        result.counters.as_dict() if result.counters else None
-                    ),
                 )
                 info["partitions_computed"] += 1
             writer.append_partition(message)
             messages.append(message)
             progress[0] += 1
 
-        model = _merge_messages(
-            task.cell_id,
+        model, _ = merge_cell(
+            task.spec,
             messages,
             expected=len(chunks),
-            merge_k=task.merge_k,
-            criterion=task.criterion,
-            max_iter=task.max_iter,
-            kernel=task.kernel,
-            exact=task.exact,
+            method=SHARD_METHOD,
             evaluate_on=points,
         )
         writer.append_cell(task.cell_id, model)
     return model, info
-
-
-def _merge_messages(
-    cell_id: str,
-    messages: list[CentroidMessage],
-    expected: int,
-    merge_k: int,
-    criterion: ConvergenceCriterion | None,
-    max_iter: int,
-    kernel: str | None,
-    evaluate_on: np.ndarray | None,
-    exact: bool | None = None,
-) -> ClusterModel:
-    """Collective merge over one cell's partition summaries.
-
-    The same arithmetic as :meth:`MergeKMeansSink._finalize` (including
-    the ``incomplete`` extras contract when partitions are missing), so
-    shard models carry the shape the rest of the codebase expects.
-    """
-    ordered = sorted(messages, key=lambda m: m.partition)
-    start = time.perf_counter()
-    merged = merge_kmeans(
-        [m.summary for m in ordered],
-        merge_k,
-        criterion=criterion,
-        max_iter=max_iter,
-        kernel=kernel,
-        exact=exact,
-    )
-    total = time.perf_counter() - start
-    final_mse = (
-        evaluate_mse(evaluate_on, merged.model.centroids)
-        if evaluate_on is not None
-        else merged.mse
-    )
-    partial_seconds = sum(m.partial_seconds for m in ordered)
-    extra: dict = {
-        "merge_iterations": merged.iterations,
-        "partial_iterations": [m.partial_iterations for m in ordered],
-    }
-    if expected and len(ordered) != expected:
-        present = {m.partition for m in ordered}
-        extra["incomplete"] = True
-        extra["expected_partitions"] = int(expected)
-        extra["missing_partitions"] = sorted(
-            int(p) for p in set(range(expected)) - present
-        )
-    return ClusterModel(
-        centroids=merged.model.centroids,
-        weights=merged.model.weights,
-        mse=final_mse,
-        method=SHARD_METHOD,
-        partitions=len(ordered),
-        partial_seconds=partial_seconds,
-        merge_seconds=merged.seconds,
-        total_seconds=partial_seconds + total,
-        extra=extra,
-    )
 
 
 def _shard_worker_main(
@@ -503,16 +382,30 @@ def _shard_worker_main(
             seq += 1
             send(("heartbeat", name, seq, progress[0]))
 
-    send(("hello", name, os.getpid()))
-    beater = threading.Thread(
-        target=heartbeat_loop, name=f"{name}-heartbeat", daemon=True
-    )
-    beater.start()
-    try:
+    inbox: queue.Queue = queue.Queue()
+
+    def reader_loop() -> None:
+        # Drain the coordinator's messages as they arrive.  It sends every
+        # initial assignment before reading anything, so a worker that
+        # read only between cells would let both pipes fill: its own
+        # sends would block, and so would the coordinator's.
         while True:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
+                inbox.put(None)
+                return
+            inbox.put(message)
+            if message[0] == "stop":
+                return
+
+    send(("hello", name, os.getpid()))
+    for target, role in ((heartbeat_loop, "heartbeat"), (reader_loop, "reader")):
+        threading.Thread(target=target, name=f"{name}-{role}", daemon=True).start()
+    try:
+        while True:
+            message = inbox.get()
+            if message is None:
                 break
             if message[0] == "stop":
                 send(("bye", name))
@@ -620,8 +513,11 @@ class ShardCoordinator:
 
     Args:
         cells: mapping from cell id to its ``(n, d)`` points.
-        k: centroids per partition (and per final model unless
-            ``merge_k`` differs).
+        spec: what each cell task computes.
+        n_chunks: fixed partitions per cell; ``None`` derives them from
+            the memory budget of ``resources``.
+        resources: resource envelope (default host envelope).
+        seed: seed of the RNG contract (fresh entropy when ``None``).
         config: runtime tuning; ``None`` uses defaults.
         fault_plan: optional chaos engine; ``kill``/``heartbeat-drop``
             specs targeting worker names are shipped to the workers and
@@ -631,38 +527,22 @@ class ShardCoordinator:
     def __init__(
         self,
         cells: Mapping[str, np.ndarray],
-        k: int,
-        restarts: int = 1,
-        seeding: str = "kmeans||",
+        spec: ClusterSpec,
         n_chunks: int | None = None,
         resources: ResourceManager | None = None,
         seed: int | None = None,
-        merge_k: int | None = None,
-        criterion: ConvergenceCriterion | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
-        exact: bool | None = None,
         config: ShardConfig | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if not cells:
             raise ValueError("cells mapping must not be empty")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         self.config = config if config is not None else ShardConfig()
         self.fault_plan = fault_plan
         self._resources = (
             resources if resources is not None else ResourceManager()
         )
-        self._seed_sequence = np.random.SeedSequence(seed)
-        self._k = k
-        self._merge_k = merge_k if merge_k is not None else k
-        self._restarts = restarts
-        self._seeding = seeding
-        self._criterion = criterion
-        self._max_iter = max_iter
-        self._kernel = kernel
-        self._exact = exact
+        self._spec = spec
+        self._seed = resolve_seed(seed)
         self._n_chunks = n_chunks
         self._tempdir: tempfile.TemporaryDirectory | None = None
         if self.config.run_dir is not None:
@@ -677,7 +557,7 @@ class ShardCoordinator:
         self._next_worker_index = 0
         self._cells: dict[str, _CellState] = {}
         for cell_id in sorted(cells):
-            points = self._coerce(cells[cell_id])
+            points = cell_points(cells[cell_id])
             self._cells[cell_id] = _CellState(
                 cell_id=cell_id,
                 points=points,
@@ -687,14 +567,6 @@ class ShardCoordinator:
         self.metrics = ExecutionMetrics(backend=SHARDS)
         self._coordinator_op = OperatorMetrics(name="coordinator")
         self.metrics.operators.append(self._coordinator_op)
-
-    @staticmethod
-    def _coerce(points: np.ndarray) -> np.ndarray:
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.size == 0:
-            dim = arr.shape[1] if arr.ndim == 2 else 1
-            return np.zeros((0, max(1, dim)), dtype=np.float64)
-        return as_points(arr)
 
     def _chunks_for(self, points: np.ndarray) -> int:
         if points.shape[0] == 0:
@@ -772,16 +644,8 @@ class ShardCoordinator:
             epoch=cell.epoch,
             points=cell.points,
             n_chunks=cell.n_chunks,
-            k=self._k,
-            merge_k=self._merge_k,
-            restarts=self._restarts,
-            seeding=self._seeding,
-            criterion=self._criterion,
-            max_iter=self._max_iter,
-            kernel=self._kernel,
-            exact=self._exact,
-            entropy=int(self._seed_sequence.entropy),
-            spawn_key=tuple(self._seed_sequence.spawn_key),
+            spec=self._spec,
+            seed=self._seed,
             journal_path=str(journal),
             prior_journals=tuple(str(p) for p in cell.journals),
             fsync=self.config.fsync,
@@ -886,15 +750,11 @@ class ShardCoordinator:
                 return
         expected = cell.n_chunks
         if union:
-            cell.model = _merge_messages(
-                cell.cell_id,
+            cell.model, _ = merge_cell(
+                self._spec,
                 list(union.values()),
                 expected=expected,
-                merge_k=self._merge_k,
-                criterion=self._criterion,
-                max_iter=self._max_iter,
-                kernel=self._kernel,
-                exact=self._exact,
+                method=SHARD_METHOD,
                 evaluate_on=cell.points,
             )
             if len(union) == expected:
@@ -902,9 +762,8 @@ class ShardCoordinator:
                 # degrade — don't mark the cell incomplete.
                 return
         else:
-            dim = cell.points.shape[1] if cell.points.ndim == 2 else 1
             cell.model = ClusterModel.empty(
-                max(1, dim),
+                cell.points.shape[1],
                 method=SHARD_METHOD,
                 extra={
                     "incomplete": True,
@@ -1111,9 +970,10 @@ def run_sharded(
         n_chunks: fixed partitions per cell; ``None`` derives them from
             the memory budget.
         resources: resource envelope (default host envelope).
-        seed: RNG seed; shard runs with the same seed are bit-identical
-            to each other regardless of worker count, schedule or
-            injected worker faults.
+        seed: RNG seed; runs with the same seed are bit-identical to
+            each other — and to thread/process runs of the same spec —
+            regardless of worker count, schedule or injected worker
+            faults.
         merge_k: centroids per final model (defaults to ``k``).
         criterion: convergence criterion for all k-means stages.
         max_iter: Lloyd iteration cap for all stages.
@@ -1129,19 +989,22 @@ def run_sharded(
         :class:`ExecutionMetrics` with per-shard stats and recovery
         events.
     """
-    coordinator = ShardCoordinator(
-        cells,
-        k,
+    spec = ClusterSpec(
+        k=k,
         restarts=restarts,
         seeding=seeding,
+        criterion=criterion,
+        max_iter=max_iter,
+        merge_k=merge_k,
+        kernel=kernel,
+        exact=exact,
+    )
+    coordinator = ShardCoordinator(
+        cells,
+        spec,
         n_chunks=n_chunks,
         resources=resources,
         seed=seed,
-        merge_k=merge_k,
-        criterion=criterion,
-        max_iter=max_iter,
-        kernel=kernel,
-        exact=exact,
         config=config,
         fault_plan=fault_plan,
     )

@@ -12,6 +12,7 @@ Two consumers:
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from repro.stream.distributed import SimReport
@@ -26,64 +27,35 @@ __all__ = [
 ]
 
 
+def _record(record, **derived) -> dict:
+    """Every dataclass field of ``record`` as a JSON-safe value.
+
+    Built from :func:`dataclasses.fields`, so a counter added to a
+    metrics record is exported without touching this module; ``derived``
+    adds computed properties.
+    """
+    payload = {}
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        if isinstance(value, (list, tuple)):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        payload[spec.name] = value
+    payload.update(derived)
+    return payload
+
+
 def metrics_to_dict(metrics: ExecutionMetrics) -> dict:
     """Convert execution metrics to a JSON-safe dictionary."""
     payload = {
         "wall_seconds": metrics.wall_seconds,
         "backend": metrics.backend,
-        "workers": [
-            {
-                "name": worker.name,
-                "pid": worker.pid,
-                "items": worker.items,
-                "busy_seconds": worker.busy_seconds,
-                "spawn_seconds": worker.spawn_seconds,
-                "shm_bytes": worker.shm_bytes,
-            }
-            for worker in metrics.workers
-        ],
-        "shards": [
-            {
-                "name": shard.name,
-                "pid": shard.pid,
-                "cells_owned": shard.cells_owned,
-                "cells_completed": shard.cells_completed,
-                "partitions_computed": shard.partitions_computed,
-                "partitions_replayed": shard.partitions_replayed,
-                "heartbeats": shard.heartbeats,
-                "respawns": shard.respawns,
-                "lost_reason": shard.lost_reason,
-            }
-            for shard in metrics.shards
-        ],
-        "recoveries": [
-            {
-                "worker_name": event.worker_name,
-                "reason": event.reason,
-                "cells_reassigned": event.cells_reassigned,
-                "cells_degraded": event.cells_degraded,
-                "replayed_records": event.replayed_records,
-                "recovery_seconds": event.recovery_seconds,
-            }
-            for event in metrics.recoveries
-        ],
+        "workers": [_record(worker) for worker in metrics.workers],
+        "shards": [_record(shard) for shard in metrics.shards],
+        "recoveries": [_record(event) for event in metrics.recoveries],
         "operators": [
-            {
-                "name": op.name,
-                "items_in": op.items_in,
-                "items_out": op.items_out,
-                "busy_seconds": op.busy_seconds,
-                "wall_seconds": op.wall_seconds,
-                "utilization": op.utilization,
-                "retries": op.retries,
-                "restarts": op.restarts,
-                "degraded_items": op.degraded_items,
-                "lost_items": list(op.lost_items),
-                "quarantined_files": list(op.quarantined_files),
-                "incomplete_cells": list(op.incomplete_cells),
-                "kernel_counters": dict(op.kernel_counters),
-                "tree_stats": dict(op.tree_stats),
-            }
+            _record(op, wall_seconds=op.wall_seconds, utilization=op.utilization)
             for op in metrics.operators
         ],
         "kernel_counters": metrics.kernel_counters,
@@ -99,38 +71,11 @@ def metrics_to_dict(metrics: ExecutionMetrics) -> dict:
             "total_reassignments": metrics.total_reassignments,
             "total_replayed_records": metrics.total_replayed_records,
         },
-        "queues": {
-            name: {
-                "puts": stats.puts,
-                "gets": stats.gets,
-                "high_water_mark": stats.high_water_mark,
-                "producer_block_seconds": stats.producer_block_seconds,
-                "consumer_block_seconds": stats.consumer_block_seconds,
-            }
-            for name, stats in metrics.queues.items()
-        },
-        "stalls": [
-            {
-                "waited_seconds": stall.waited_seconds,
-                "suspects": list(stall.suspects),
-                "policies": dict(stall.policies),
-                "queue_depths": dict(stall.queue_depths),
-                "thread_stacks": dict(stall.thread_stacks),
-            }
-            for stall in metrics.stalls
-        ],
+        "queues": {name: _record(stats) for name, stats in metrics.queues.items()},
+        "stalls": [_record(stall) for stall in metrics.stalls],
     }
     if metrics.checkpoint is not None:
-        cp = metrics.checkpoint
-        payload["checkpoint"] = {
-            "journal_path": cp.journal_path,
-            "partitions_replayed": cp.partitions_replayed,
-            "partitions_recomputed": cp.partitions_recomputed,
-            "cells_replayed": cp.cells_replayed,
-            "journal_bytes": cp.journal_bytes,
-            "recovery_seconds": cp.recovery_seconds,
-            "resumed": cp.resumed,
-        }
+        payload["checkpoint"] = _record(metrics.checkpoint)
     return payload
 
 

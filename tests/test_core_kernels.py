@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernels as kernels_module
 from repro.core.kernels import (
     EXACT_ENV_VAR,
     KERNEL_ENV_VAR,
@@ -433,40 +432,6 @@ def test_exact_env_var_waives_and_rejects_garbage(monkeypatch):
     # An explicit argument beats the environment.
     monkeypatch.setenv(EXACT_ENV_VAR, "1")
     assert isinstance(resolve_kernel("blas", exact=False), BlasKernel)
-
-
-def test_tiled_alias_maps_to_blas_with_one_deprecation_warning(monkeypatch):
-    """Regression pin for the deprecate-and-alias satellite."""
-    monkeypatch.delenv(EXACT_ENV_VAR, raising=False)
-    monkeypatch.setattr(kernels_module, "_tiled_alias_warned", False)
-    with pytest.warns(DeprecationWarning, match="tiled"):
-        kernel = resolve_kernel("tiled", exact=False)
-    assert isinstance(kernel, BlasKernel)
-    # Warn once per process, not per call.
-    with warnings_none():
-        again = resolve_kernel("tiled", exact=False)
-    assert isinstance(again, BlasKernel)
-    # The alias lands on the exact=False tier, so the gate still applies.
-    with pytest.raises(ValueError, match="bit-identity"):
-        resolve_kernel("tiled")
-
-
-class warnings_none:
-    """Context asserting no warnings are emitted inside the block."""
-
-    def __enter__(self):
-        import warnings as _warnings
-
-        self._catcher = _warnings.catch_warnings(record=True)
-        self._records = self._catcher.__enter__()
-        _warnings.simplefilter("always")
-        return self._records
-
-    def __exit__(self, exc_type, exc, tb):
-        self._catcher.__exit__(exc_type, exc, tb)
-        if exc_type is None:
-            assert not self._records, [str(r.message) for r in self._records]
-        return False
 
 
 def test_env_knob_drives_lloyd(monkeypatch):

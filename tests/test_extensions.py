@@ -37,6 +37,48 @@ class TestTracing:
         assert any("partial" in name for name in names)
         assert "q->merge" in restored["queues"]
 
+    def test_metrics_to_dict_exports_every_record_field(self):
+        from dataclasses import fields
+
+        from repro.stream.metrics import (
+            CheckpointStats,
+            ExecutionMetrics,
+            OperatorMetrics,
+            RecoveryEvent,
+            ShardWorkerStats,
+            StallEvent,
+            WorkerProcessStats,
+        )
+        from repro.stream.queues import QueueStats
+
+        records = {
+            "workers": WorkerProcessStats(name="w"),
+            "shards": ShardWorkerStats(name="s"),
+            "recoveries": RecoveryEvent("s", "dead-pid", 1, 0, 2, 0.5),
+            "operators": OperatorMetrics(name="partial#0"),
+            "stalls": StallEvent(1.0, ("partial",), {}, {}, {}),
+        }
+        metrics = ExecutionMetrics(
+            workers=[records["workers"]],
+            shards=[records["shards"]],
+            recoveries=[records["recoveries"]],
+            operators=[records["operators"]],
+            stalls=[records["stalls"]],
+            queues={"q->merge": QueueStats(puts=3)},
+            checkpoint=CheckpointStats(journal_path="j.rjl"),
+        )
+        payload = json.loads(json.dumps(metrics_to_dict(metrics)))
+        exported = {key: payload[key][0] for key in records}
+        exported["queues"] = payload["queues"]["q->merge"]
+        exported["checkpoint"] = payload["checkpoint"]
+        records["queues"] = metrics.queues["q->merge"]
+        records["checkpoint"] = metrics.checkpoint
+        for key, record in records.items():
+            missing = {f.name for f in fields(record)} - set(exported[key])
+            assert not missing, (key, missing)
+        # Computed properties stay exported next to the fields.
+        assert {"wall_seconds", "utilization"} <= set(exported["operators"])
+
     def test_dump_metrics_json(self, tmp_path, blobs_6d):
         metrics = self._metrics(blobs_6d)
         path = dump_metrics_json(metrics, tmp_path / "trace.json")

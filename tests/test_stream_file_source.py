@@ -79,7 +79,7 @@ class TestBucketFileSource:
         graph.add(BucketFileSource(directory, n_chunks=3))
         graph.add(
             PartialKMeansOperator(
-                k=6, restarts=2, seed_sequence=np.random.SeedSequence(0)
+                k=6, restarts=2, seed=0
             ),
             cost_hint=16.0,
         )
@@ -222,7 +222,7 @@ class TestCorruptionPolicies:
             )
             graph.add(
                 PartialKMeansOperator(
-                    k=4, restarts=1, seed_sequence=np.random.SeedSequence(0)
+                    k=4, restarts=1, seed=0
                 ),
                 cost_hint=16.0,
             )

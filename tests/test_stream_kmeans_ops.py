@@ -70,7 +70,7 @@ class TestGridCellChunkSource:
 class TestPartialKMeansOperator:
     def test_process_yields_centroid_message(self, blobs_6d):
         operator = PartialKMeansOperator(
-            k=5, restarts=2, seed_sequence=np.random.SeedSequence(0)
+            k=5, restarts=2, seed=0
         )
         chunk = DataChunk(
             cell_id="c", partition=1, points=blobs_6d[:200], n_partitions=3
@@ -83,7 +83,7 @@ class TestPartialKMeansOperator:
 
     def test_clones_are_independent(self, blobs_6d):
         operator = PartialKMeansOperator(
-            k=5, restarts=1, seed_sequence=np.random.SeedSequence(0)
+            k=5, restarts=1, seed=0
         )
         clone = operator.clone()
         assert clone is not operator
@@ -98,7 +98,7 @@ class TestPartialKMeansOperator:
 class TestMergeKMeansSink:
     def test_eager_finalization_per_cell(self, blobs_6d):
         operator = PartialKMeansOperator(
-            k=4, restarts=1, seed_sequence=np.random.SeedSequence(1)
+            k=4, restarts=1, seed=1
         )
         sink = MergeKMeansSink(k=4)
         for partition in range(3):
@@ -115,7 +115,7 @@ class TestMergeKMeansSink:
 
     def test_result_flushes_incomplete_cells(self, blobs_6d):
         operator = PartialKMeansOperator(
-            k=4, restarts=1, seed_sequence=np.random.SeedSequence(1)
+            k=4, restarts=1, seed=1
         )
         sink = MergeKMeansSink(k=4)
         chunk = DataChunk(
@@ -144,7 +144,7 @@ class TestMergeKMeansSink:
 
     def test_short_finalisation_records_missing_partitions(self, blobs_6d):
         operator = PartialKMeansOperator(
-            k=4, restarts=1, seed_sequence=np.random.SeedSequence(6)
+            k=4, restarts=1, seed=6
         )
         sink = MergeKMeansSink(k=4)
         for partition in (0, 2):  # partition 1 was lost upstream
@@ -263,7 +263,7 @@ class TestWatermarkFinalization:
         from repro.stream.items import Watermark
 
         operator = PartialKMeansOperator(
-            k=4, restarts=1, seed_sequence=np.random.SeedSequence(2)
+            k=4, restarts=1, seed=2
         )
         sink = MergeKMeansSink(k=4)
         for partition in range(3):
@@ -284,7 +284,7 @@ class TestWatermarkFinalization:
         from repro.stream.items import Watermark
 
         operator = PartialKMeansOperator(
-            k=4, restarts=1, seed_sequence=np.random.SeedSequence(3)
+            k=4, restarts=1, seed=3
         )
         sink = MergeKMeansSink(k=4)
         sink.consume(Watermark(cell_id="cell", n_partitions=2))
@@ -307,7 +307,7 @@ class TestWatermarkFinalization:
         from repro.stream.items import Watermark
 
         operator = PartialKMeansOperator(
-            k=4, restarts=1, seed_sequence=np.random.SeedSequence(4)
+            k=4, restarts=1, seed=4
         )
         mark = Watermark(cell_id="x", n_partitions=5)
         assert list(operator.process(mark)) == [mark]

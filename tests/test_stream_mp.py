@@ -101,7 +101,7 @@ class TestBackendResolution:
 class TestOperatorSpec:
     def test_partial_operator_supports_backend(self):
         operator = PartialKMeansOperator(
-            k=3, restarts=1, seed_sequence=np.random.SeedSequence(5)
+            k=3, restarts=1, seed=5
         )
         assert supports_process_backend(operator)
         assert not supports_process_backend(
@@ -110,7 +110,7 @@ class TestOperatorSpec:
 
     def test_spec_pickle_roundtrip_rebuilds_identical_rng(self, cells):
         operator = PartialKMeansOperator(
-            k=3, restarts=2, seed_sequence=np.random.SeedSequence(42)
+            k=3, restarts=2, seed=42
         )
         spec = pickle.loads(pickle.dumps(operator.to_spec()))
         assert isinstance(spec, PartialKMeansSpec)
@@ -125,7 +125,7 @@ class TestOperatorSpec:
 
     def test_clone_shares_spec(self):
         operator = PartialKMeansOperator(
-            k=3, restarts=1, seed_sequence=np.random.SeedSequence(9)
+            k=3, restarts=1, seed=9
         )
         assert operator.clone().to_spec() == operator.to_spec()
 
@@ -152,7 +152,7 @@ class TestSharedMemoryTransfer:
 class TestWorkerLifecycle:
     def test_worker_matches_in_process_result(self, cells):
         operator = PartialKMeansOperator(
-            k=3, restarts=2, seed_sequence=np.random.SeedSequence(7)
+            k=3, restarts=2, seed=7
         )
         worker = start_worker(operator.to_spec(), name="partial#0")
         try:
@@ -190,7 +190,7 @@ class TestWorkerLifecycle:
 
     def test_spawn_context(self, cells):
         operator = PartialKMeansOperator(
-            k=2, restarts=1, seed_sequence=np.random.SeedSequence(3)
+            k=2, restarts=1, seed=3
         )
         worker = start_worker(
             operator.to_spec(), name="partial#0", mp_context="spawn"

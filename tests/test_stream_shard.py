@@ -8,9 +8,17 @@ same weights, down to the last float bit.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.core.spec import ClusterSpec
 from repro.stream.faults import FaultPlan, FaultSpec
 from repro.stream.kmeans_ops import run_partial_merge_stream
 from repro.stream.metrics import RecoveryEvent, ShardWorkerStats
@@ -37,12 +45,17 @@ def small_cells(n_cells=6, n_points=200, dim=2):
 
 
 def heavy_cells(n_cells=4):
-    """Cells big enough that a worker is mid-cell for a few hundred ms."""
+    """Cells big enough that a worker is mid-cell for a few hundred ms.
+
+    A cell must take well over the 0.15 s heartbeat timeout of the
+    heartbeat-drop test, since a finished cell's reply also counts as a
+    sign of life.
+    """
     centers = np.array([[0.0] * 8, [9.0] * 8])
     return {
-        f"lat{i}lon0": make_blobs(2_000, centers, scale=0.8, seed=200 + i)
+        f"lat{i}lon0": make_blobs(8_000, centers, scale=0.8, seed=200 + i)
         for i in range(n_cells)
-    }  # 4000 points per cell (2 blobs x 2000)
+    }  # 16000 points per cell (2 blobs x 8000)
 
 
 def fast_config(n_workers=3, **overrides):
@@ -119,6 +132,41 @@ class TestFaultFree:
         assert models["lat1lon0"].extra.get("empty_cell")
         assert models["lat1lon0"].weights.sum() == 0.0
 
+    def test_queued_tasks_beyond_pipe_buffer_do_not_deadlock(self):
+        """The coordinator sends every task before it reads anything.
+
+        Here one worker's queued tasks (~3.8 MB) far exceed a 64 KiB pipe
+        buffer while fast heartbeats and ``cell_done`` replies fill the
+        other direction: a worker that reads only between cells blocks
+        in ``send`` and the run never finishes.
+        """
+        script = (
+            "import numpy as np\n"
+            "from repro.stream.shard import ShardConfig, run_sharded\n"
+            "rng = np.random.default_rng(0)\n"
+            "cells = {f'lat{i}lon0': rng.normal(size=(2000, 6)) for i in range(40)}\n"
+            "config = ShardConfig(n_workers=1, heartbeat_interval=0.001,"
+            " heartbeat_timeout=30.0)\n"
+            "models, _ = run_sharded(cells, k=24, restarts=1, seeding='random',"
+            " n_chunks=2, seed=1, config=config)\n"
+            "assert len(models) == 40\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        # Own session, so a hung run's shard workers die with it.
+        run = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, start_new_session=True
+        )
+        try:
+            returncode = run.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
+            pytest.fail("sharded run deadlocked: no result within 60 s")
+        assert returncode == 0
+
     def test_mse_matches_plan_engine_quality(self, cells, baseline):
         """Shard models are real clusterings, not comparable bits only."""
         models, _ = baseline
@@ -126,8 +174,8 @@ class TestFaultFree:
             cells, k=4, restarts=1, n_chunks=4, seed=42
         )
         for cell_id in models:
-            # Different chunk RNG streams, but the same algorithm on the
-            # same data: quality must land in the same ballpark.
+            # Different seeding (k-means|| against random restarts), but
+            # the same data: quality must land in the same ballpark.
             assert models[cell_id].mse < plan_models[cell_id].mse * 3 + 1e-9
 
 
@@ -503,16 +551,8 @@ class TestConfigValidation:
             epoch=0,
             points=np.zeros((4, 2)),
             n_chunks=2,
-            k=2,
-            merge_k=2,
-            restarts=1,
-            seeding="random",
-            criterion=None,
-            max_iter=10,
-            kernel=None,
-            exact=None,
-            entropy=7,
-            spawn_key=(),
+            spec=ClusterSpec(k=2, restarts=1, max_iter=10),
+            seed=7,
             journal_path=str(tmp_path / "x.rjl"),
             prior_journals=(),
             fsync=False,
@@ -520,6 +560,7 @@ class TestConfigValidation:
         clone = pickle.loads(pickle.dumps(task))
         assert clone.cell_id == task.cell_id
         assert clone.points.tobytes() == task.points.tobytes()
+        assert clone.spec == task.spec
 
     def test_metric_dataclasses(self):
         stats = ShardWorkerStats(name="w")
